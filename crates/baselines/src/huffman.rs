@@ -1,7 +1,6 @@
 //! Canonical Huffman coding used by the PNG-style baseline.
 
 use pvc_bdc::{BitReader, BitWriter, BitstreamError};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Maximum code length; codes are flattened if the optimal tree is deeper.
@@ -48,7 +47,7 @@ impl From<BitstreamError> for HuffmanError {
 ///
 /// The code is fully described by its per-symbol code lengths, which is what
 /// gets written into the compressed stream header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HuffmanCode {
     lengths: Vec<u8>,
     codes: Vec<u32>,

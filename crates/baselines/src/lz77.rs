@@ -1,6 +1,5 @@
 //! Greedy LZ77 tokenization used by the PNG-style baseline.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Minimum match length worth emitting (shorter matches cost more than
@@ -14,7 +13,7 @@ pub const WINDOW_SIZE: usize = 32 * 1024;
 const MAX_CHAIN: usize = 32;
 
 /// One LZ77 token: either a literal byte or a back-reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lz77Token {
     /// A single literal byte.
     Literal(u8),

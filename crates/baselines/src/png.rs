@@ -13,7 +13,6 @@ use crate::lz77::{Lz77Token, Lz77Tokenizer, MIN_MATCH};
 use pvc_bdc::{BitReader, BitWriter, CompressionStats, SizeBreakdown};
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame};
-use serde::{Deserialize, Serialize};
 
 const BYTES_PER_PIXEL: usize = 3;
 /// Symbol used to introduce a back-reference in the entropy-coded stream.
@@ -21,7 +20,7 @@ const MATCH_SYMBOL: u16 = 256;
 const ALPHABET: usize = 257;
 
 /// A compressed frame produced by [`PngLikeCodec`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PngLikeEncoded {
     dimensions: Dimensions,
     bytes: Vec<u8>,

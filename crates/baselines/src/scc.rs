@@ -17,10 +17,9 @@
 use pvc_bdc::{CompressionStats, SizeBreakdown};
 use pvc_color::{DiscriminationModel, LinearRgb, Srgb8};
 use pvc_frame::SrgbFrame;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the SCC codec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SccConfig {
     /// Bits per channel of the color lattice the greedy cover runs over
     /// (8 = the full sRGB cube as in the paper; tests use 4–5).
@@ -61,7 +60,7 @@ impl SccConfig {
 }
 
 /// The SCC codec: a perceptual color codebook plus per-pixel indexing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SccCodec {
     config: SccConfig,
     codebook: Vec<Srgb8>,

@@ -4,10 +4,8 @@
 //! honest the encoded frame can also be packed into an actual byte stream
 //! and decoded back. The writer packs bits MSB-first.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced while reading a bitstream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BitstreamError {
     /// The reader ran past the end of the stream.
     UnexpectedEnd {

@@ -6,10 +6,9 @@ use crate::tile_codec::{decode_tile, encode_tile, TileEncoding};
 use pvc_color::lanes::min_max_u8;
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid, DEFAULT_TILE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Base+Delta frame encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BdConfig {
     /// Side length of the square pixel tiles (4 in the paper's main
     /// configuration; Fig. 15 sweeps 4–16).
@@ -73,8 +72,7 @@ impl BdEncoder {
     ///
     /// A thread count of 0 is normalized to 1 (sequential). This is the
     /// single normalization point for the knob: callers no longer need
-    /// scattered `.max(1)` guards around struct-literal or deserialized
-    /// configurations.
+    /// scattered `.max(1)` guards around struct-literal configurations.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -181,7 +179,7 @@ impl BdEncoder {
 
 /// A Base+Delta encoded frame: the per-tile encodings plus enough geometry
 /// to reconstruct the original frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BdEncodedFrame {
     dimensions: Dimensions,
     tile_size: u32,
@@ -449,8 +447,8 @@ mod tests {
 
     #[test]
     fn zero_threads_normalizes_to_sequential() {
-        // The single normalization point for the knob: a struct-literal or
-        // deserialized 0 means sequential, not a panic.
+        // The single normalization point for the knob: a struct-literal 0
+        // means sequential, not a panic.
         assert_eq!(BdEncoder::default().with_threads(0).threads(), 1);
         assert_eq!(BdEncoder::default().with_threads(3).threads(), 3);
     }

@@ -1,13 +1,11 @@
 //! Compressed-size accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Bit counts of an encoded tile or frame, split by component.
 ///
 /// The split matches Fig. 11 of the paper: the cost of the per-channel base
 /// values, the cost of the per-tile metadata (the delta bit-length fields)
 /// and the cost of the Δ payload itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SizeBreakdown {
     /// Bits spent on base values.
     pub base_bits: u64,
@@ -81,7 +79,7 @@ impl std::iter::Sum for SizeBreakdown {
 }
 
 /// Overall compression statistics of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionStats {
     /// Number of pixels in the frame.
     pub pixel_count: usize,

@@ -46,7 +46,6 @@ use crate::stats::{CompressionStats, SizeBreakdown};
 use crate::tile_codec::{bits_for_range, BASE_BITS, METADATA_BITS};
 use pvc_color::lanes::min_max_u8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid};
-use serde::{Deserialize, Serialize};
 
 /// Bits spent on the per-tile mode selector.
 pub(crate) const MODE_BITS: u64 = 2;
@@ -57,7 +56,7 @@ const MODE_DELTA: u32 = 1;
 const MODE_INTRA: u32 = 2;
 
 /// What kind of frame a decode produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// An intra (key) frame: decodable with no reference.
     Key,
@@ -71,7 +70,7 @@ pub enum FrameKind {
 /// `intra_bits` is what the same frame would have cost as a pure intra
 /// frame (computed in the same pass), so `intra_bits - bits` is the exact
 /// bandwidth the temporal mode saved. On keyframes the two are equal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TemporalFrameStats {
     /// True when the frame was emitted as an intra keyframe.
     pub keyframe: bool,

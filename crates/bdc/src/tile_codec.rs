@@ -4,7 +4,6 @@ use crate::stats::SizeBreakdown;
 use pvc_color::lanes::min_max_u8;
 use pvc_color::Srgb8;
 use pvc_frame::SrgbTileLanes;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits used to store a base value (one 8-bit sRGB code value).
 pub const BASE_BITS: u64 = 8;
@@ -28,7 +27,7 @@ pub fn bits_for_range(range: u8) -> u8 {
 }
 
 /// The Base+Delta encoding of one color channel of one tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelEncoding {
     /// The base value (the minimum code value of the tile).
     pub base: u8,
@@ -58,7 +57,7 @@ impl ChannelEncoding {
 }
 
 /// The Base+Delta encoding of one pixel tile (all three channels).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileEncoding {
     /// Per-channel encodings in `(R, G, B)` order.
     pub channels: [ChannelEncoding; 3],

@@ -11,10 +11,9 @@ use pvc_hw::{CauModel, GpuConfig, PowerModel};
 use pvc_metrics::SampleSummary;
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 use pvc_study::{SceneTrial, StudyConfig, UserStudy};
-use serde::{Deserialize, Serialize};
 
 /// A regenerated table or figure: a name, a column header and data rows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Figure {
     /// Identifier used for the CSV file name (e.g. `fig10_bandwidth`).
     pub name: String,

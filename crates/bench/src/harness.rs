@@ -8,10 +8,9 @@ use pvc_fovea::{DisplayGeometry, GazePoint};
 use pvc_frame::Dimensions;
 use pvc_metrics::QualityReport;
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by all experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Per-eye frame resolution the scenes are rendered at. The paper runs
     /// at headset resolution; the default here keeps the harness fast while
@@ -61,7 +60,7 @@ impl ExperimentConfig {
 }
 
 /// Everything measured for one scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneMeasurement {
     /// The scene.
     pub scene: SceneId,

@@ -10,7 +10,6 @@ use pvc_stream::{WireError, WireReader, WireRecord, WireSessionHeader};
 use pvc_trace::{Recorder, Stage};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Errors produced while consuming a session's wire stream.
@@ -90,7 +89,7 @@ impl From<WireError> for ClientError {
 }
 
 /// What one session's client observed over its whole stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientReport {
     /// The session header the stream opened with.
     pub header: WireSessionHeader,
@@ -155,13 +154,6 @@ impl SessionClient {
             displayed: SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default()),
             recorder: None,
         }
-    }
-
-    /// Returns the client with a different frame decoder (e.g. a tighter
-    /// pixel budget for untrusted streams).
-    pub fn with_decoder(mut self, decoder: BdDecoder) -> Self {
-        self.decoder = decoder;
-        self
     }
 
     /// Returns the client with per-frame tracing: each consumed frame

@@ -10,13 +10,12 @@
 //! the service's determinism guarantee.
 
 use pvc_stream::ResolutionTier;
-use serde::{Deserialize, Serialize};
 
 /// Default seed of the drop coin (xor-ed with the session id).
 pub const DEFAULT_LINK_SEED: u64 = 0x114B_5EED;
 
 /// A deterministic, seeded model of one session's downlink.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Link bandwidth in Mbit/s; `None` means infinite (no serialization
     /// delay).

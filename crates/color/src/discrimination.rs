@@ -22,7 +22,6 @@ use crate::dkl::{dkl_axis_rgb_gain, DklColor};
 use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes};
 use crate::math::solve_dense;
 use crate::srgb::LinearRgb;
-use serde::{Deserialize, Serialize};
 
 /// Maximum eccentricity (degrees) at which the models are defined; inputs
 /// beyond this are clamped. Half of a ~110° VR field of view.
@@ -70,7 +69,7 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for std::sync::Arc<T> 
 }
 
 /// Parameters of the [`SyntheticDiscriminationModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticModelParams {
     /// Per-channel discrimination half-extent (in linear RGB units) at 0°
     /// eccentricity for a mid-gray reference color.
@@ -137,7 +136,7 @@ impl SyntheticModelParams {
 /// let peripheral = model.ellipsoid_axes(LinearRgb::gray(0.5), 25.0);
 /// assert!(peripheral.a > foveal.a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SyntheticDiscriminationModel {
     params: SyntheticModelParams,
 }
@@ -201,7 +200,7 @@ impl DiscriminationModel for SyntheticDiscriminationModel {
 }
 
 /// Configuration of the RBF network used by [`RbfDiscriminationModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RbfConfig {
     /// Number of kernel centers along each RGB channel.
     pub color_grid: usize,
@@ -246,7 +245,7 @@ impl Default for RbfConfig {
 /// assert!(axes.a > 0.0);
 /// # Ok::<(), pvc_color::RbfFitError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RbfDiscriminationModel {
     centers: Vec<[f64; 4]>,
     /// One weight row per kernel (plus bias as the last entry), per output.

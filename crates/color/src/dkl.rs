@@ -16,7 +16,6 @@
 
 use crate::math::{Mat3, Vec3};
 use crate::srgb::LinearRgb;
-use serde::{Deserialize, Serialize};
 
 /// The constant matrix mapping linear RGB to DKL coordinates:
 /// `[K1, K2, K3]ᵀ = M_RGB2DKL · [R, G, B]ᵀ`.
@@ -70,7 +69,7 @@ pub fn dkl_axis_rgb_gain() -> Vec3 {
 /// let back = dkl.to_linear_rgb();
 /// assert!(back.max_channel_distance(rgb) < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DklColor {
     /// First opponent axis (roughly luminance).
     pub k1: f64,

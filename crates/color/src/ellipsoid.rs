@@ -19,14 +19,13 @@
 use crate::dkl::{dkl_to_rgb_matrix, rgb_to_dkl_matrix, DklColor};
 use crate::math::{Mat3, Vec3};
 use crate::srgb::LinearRgb;
-use serde::{Deserialize, Serialize};
 
 /// One of the three linear-RGB axes.
 ///
 /// The paper's relaxed objective minimizes the per-tile range along a single
 /// axis; empirically the ellipsoids are elongated along Red or Blue, so the
 /// encoder tries those two and keeps the better result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RgbAxis {
     /// The red channel (index 0).
     Red,
@@ -68,7 +67,7 @@ impl std::fmt::Display for RgbAxis {
 /// Semi-axis lengths `(a, b, c)` of a discrimination ellipsoid in DKL space.
 ///
 /// This is the output of the color discrimination function Φ (Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EllipsoidAxes {
     /// Semi-axis along the first DKL axis.
     pub a: f64,
@@ -118,7 +117,7 @@ impl EllipsoidAxes {
 
 /// Highest and lowest points of an ellipsoid along one RGB axis, expressed in
 /// linear RGB, together with the extrema vector connecting them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisExtrema {
     /// The axis the extrema refer to.
     pub axis: RgbAxis,
@@ -166,7 +165,7 @@ impl AxisExtrema {
 /// assert!(extrema.high_value() > extrema.low_value());
 /// assert!(e.contains_rgb(center, 1e-9));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscriminationEllipsoid {
     center: DklColor,
     axes: EllipsoidAxes,
@@ -330,7 +329,7 @@ impl DiscriminationEllipsoid {
 /// The representation keeps the full symmetric matrix rather than the paper's
 /// nine normalized scalar coefficients because it is numerically more robust;
 /// [`RgbQuadric::paper_coefficients`] recovers the paper's `(A..I)` form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RgbQuadric {
     /// Quadratic form matrix `Q` (symmetric).
     pub quadratic: Mat3,

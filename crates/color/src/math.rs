@@ -6,8 +6,6 @@
 //! transposes, determinants, inverses and a dense Gaussian-elimination solver
 //! (used by the RBF fitting code in [`crate::discrimination`]).
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-component column vector of `f64` values.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let v = Vec3::new(1.0, 2.0, 3.0);
 /// assert_eq!(v.dot(Vec3::new(1.0, 1.0, 1.0)), 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// First component.
     pub x: f64,
@@ -85,12 +83,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm.
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Maximum absolute component.
     #[inline]
     pub fn max_abs_component(self) -> f64 {
@@ -105,16 +97,6 @@ impl Vec3 {
             None
         } else {
             Some(self * (1.0 / n))
-        }
-    }
-
-    /// Component-wise product.
-    #[inline]
-    pub fn component_mul(self, other: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.x * other.x,
-            y: self.y * other.y,
-            z: self.z * other.z,
         }
     }
 
@@ -255,7 +237,7 @@ impl From<Vec3> for [f64; 3] {
 /// let m = Mat3::identity();
 /// assert_eq!(m * Vec3::new(1.0, 2.0, 3.0), Vec3::new(1.0, 2.0, 3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Rows of the matrix, `rows[r][c]`.
     pub rows: [[f64; 3]; 3],
@@ -368,17 +350,6 @@ impl Mat3 {
                 cof(m[0][0], m[0][1], m[1][0], m[1][1]) * inv_det,
             ],
         ]))
-    }
-
-    /// Element-wise (Hadamard) product with `other`.
-    pub fn component_mul(&self, other: &Mat3) -> Mat3 {
-        let mut out = [[0.0; 3]; 3];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = self.rows[r][c] * other.rows[r][c];
-            }
-        }
-        Mat3::from_rows(out)
     }
 
     /// Frobenius norm of the difference with `other`; useful in tests.

@@ -8,7 +8,6 @@
 
 use crate::lanes::LANE_WIDTH;
 use crate::math::Vec3;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The linear-RGB threshold below which the sRGB transfer function is linear.
@@ -302,7 +301,7 @@ fn encode_one(tables: &EncodeTables, x: f64) -> u8 {
 /// let back = LinearRgb::from_srgb8(s);
 /// assert!((back.r - c.r).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinearRgb {
     /// Red channel in `[0, 1]`.
     pub r: f64,
@@ -456,9 +455,7 @@ impl From<LinearRgb> for Vec3 {
 /// let c = Srgb8::new(0xF0, 0x60, 0x77);
 /// assert_eq!(c.to_array(), [0xF0, 0x60, 0x77]);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Srgb8 {
     /// Red code value.
     pub r: u8,

@@ -13,10 +13,9 @@ use crate::encoder::PerceptualEncoder;
 use pvc_color::{RgbAxis, SyntheticDiscriminationModel};
 use pvc_fovea::{DisplayGeometry, FoveaConfig, GazePoint};
 use pvc_frame::LinearFrame;
-use serde::{Deserialize, Serialize};
 
 /// One encoder variant evaluated by the ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AblationVariant {
     /// The paper's full configuration (Blue + Red axes, 5° bypass).
     Full,
@@ -86,7 +85,7 @@ impl std::fmt::Display for AblationVariant {
 }
 
 /// The measured outcome of one ablation variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
     /// The variant.
     pub variant: AblationVariant,

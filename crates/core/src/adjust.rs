@@ -23,10 +23,9 @@ use pvc_color::lanes::{max_f64, min_f64, min_max_u8};
 use pvc_color::srgb::linear_to_srgb8_slice;
 use pvc_color::{AxisExtrema, DiscriminationEllipsoid, LinearRgb, RgbAxis, Vec3};
 use pvc_frame::LinearTileLanes;
-use serde::{Deserialize, Serialize};
 
 /// Which of the two geometric cases of Fig. 6 a tile fell into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdjustmentCase {
     /// Case 1 (`HL > LH`): no plane crosses every ellipsoid; a residual Δ of
     /// `HL − LH` remains along the optimized axis.
@@ -47,7 +46,7 @@ impl AdjustmentCase {
 }
 
 /// The result of adjusting one tile along one axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AxisAdjustment {
     /// The axis the adjustment optimized.
     pub axis: RgbAxis,
@@ -71,7 +70,7 @@ impl AxisAdjustment {
 }
 
 /// The final result of adjusting a tile: the best of the per-axis attempts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileAdjustment {
     /// The winning per-axis adjustment.
     pub chosen: AxisAdjustment,

@@ -11,26 +11,23 @@
 //!
 //! [`BatchEncoder`] owns the display geometry and a small most-recently-used
 //! cache of eccentricity maps keyed by the exact gaze sample, and feeds the
-//! cached map into [`PerceptualEncoder::encode_frame_with_map`]. Cache hits
-//! change *where the map comes from*, never its contents, so the encoded
-//! stream is bit-identical to calling the one-shot encoder per frame.
+//! cached map into [`PerceptualEncoder::encode_frame_stream_with_map_into`]
+//! (or its temporal sibling). Cache hits change *where the map comes from*,
+//! never its contents, so the encoded stream is bit-identical to calling
+//! the one-shot encoder per frame.
 
 use crate::config::EncoderConfig;
-use crate::encoder::{
-    PerceptualEncodeResult, PerceptualEncoder, StreamEncodeResult, StreamFrameStats, StreamScratch,
-    TemporalHistory,
-};
+use crate::encoder::{PerceptualEncoder, StreamFrameStats, StreamScratch, TemporalHistory};
 use pvc_color::DiscriminationModel;
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{LinearFrame, TileGrid};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Default number of distinct gazes the session keeps maps for.
+/// Number of distinct gazes a session keeps eccentricity maps for.
 pub const DEFAULT_GAZE_CACHE_CAPACITY: usize = 8;
 
 /// Hit/miss counters of a session's eccentricity-map cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchCacheStats {
     /// Frames that reused a cached eccentricity map.
     pub hits: u64,
@@ -58,7 +55,7 @@ impl BatchCacheStats {
 ///
 /// ```
 /// use pvc_color::SyntheticDiscriminationModel;
-/// use pvc_core::{BatchEncoder, EncoderConfig};
+/// use pvc_core::{BatchEncoder, EncoderConfig, StreamScratch};
 /// use pvc_fovea::{DisplayGeometry, GazePoint};
 /// use pvc_frame::{Dimensions, LinearFrame};
 /// use pvc_color::LinearRgb;
@@ -70,13 +67,17 @@ impl BatchCacheStats {
 ///     EncoderConfig::default(),
 ///     display,
 /// );
+/// let mut scratch = StreamScratch::new();
+/// let mut payload = Vec::new();
 ///
 /// // Three frames of a fixation: one map build, two cache hits.
 /// let gaze = GazePoint::center_of(dims);
 /// for shade in [0.3, 0.4, 0.5] {
 ///     let frame = LinearFrame::filled(dims, LinearRgb::new(shade, 0.5, 0.4));
-///     let result = session.encode(&frame, gaze);
-///     assert!(result.our_stats().compressed_bits <= result.bd_stats().compressed_bits);
+///     session.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut payload);
+///     // The payload is the one-shot encoder's bitstream, byte for byte.
+///     let one_shot = session.encoder().encode_frame_stream(&frame, &display, gaze);
+///     assert_eq!(payload, one_shot.encoded.to_bitstream());
 /// }
 /// assert_eq!(session.cache_stats().hits, 2);
 /// assert_eq!(session.cache_stats().misses, 1);
@@ -88,7 +89,6 @@ pub struct BatchEncoder<M> {
     /// Most-recently-used first; keys are the exact gaze bit patterns so a
     /// hit can never change the encoded output.
     cache: Vec<((u64, u64), Arc<EccentricityMap>)>,
-    capacity: usize,
     hits: u64,
     misses: u64,
     /// GOP state for temporal coding: the previous adjusted frame. Dead
@@ -107,19 +107,11 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
             encoder: PerceptualEncoder::new(model, config),
             display,
             cache: Vec::new(),
-            capacity: DEFAULT_GAZE_CACHE_CAPACITY,
             hits: 0,
             misses: 0,
             history: TemporalHistory::new(),
             next_frame_index: 0,
         }
-    }
-
-    /// Returns the session positioned at absolute frame `index` — the
-    /// builder form of [`Self::set_next_frame_index`].
-    pub fn with_start_frame(mut self, index: u32) -> Self {
-        self.set_next_frame_index(index);
-        self
     }
 
     /// Repositions the session at absolute frame `index` and drops the
@@ -142,18 +134,6 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
         self.next_frame_index
     }
 
-    /// Returns the session with a different gaze-cache capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be non-zero");
-        self.capacity = capacity;
-        self.cache.truncate(capacity);
-        self
-    }
-
     /// The underlying one-shot encoder.
     pub fn encoder(&self) -> &PerceptualEncoder<M> {
         &self.encoder
@@ -173,53 +153,12 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
         }
     }
 
-    /// Encodes the next frame of the stream, viewed under `gaze`.
-    ///
-    /// Bit-identical to `PerceptualEncoder::encode_frame` on the same
-    /// inputs; the session only saves the eccentricity-map construction when
-    /// the gaze repeats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame and display dimensions differ.
-    pub fn encode(&mut self, frame: &LinearFrame, gaze: GazePoint) -> PerceptualEncodeResult {
-        assert_eq!(
-            frame.dimensions(),
-            self.display.dimensions(),
-            "frame and display dimensions must match"
-        );
-        let map = self.map_for(gaze);
-        self.encoder.encode_frame_with_map(frame, &map)
-    }
-
-    /// Stream-mode encode of the next frame: like [`Self::encode`] but
-    /// produces only the serving payload ([`StreamEncodeResult`]), skipping
-    /// the gamma-encode of the original frame and any baseline BD material.
-    ///
-    /// This is what a multi-session streaming service calls per frame; the
-    /// `encoded` bitstream is bit-identical to [`Self::encode`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame and display dimensions differ.
-    pub fn encode_frame_stream(
-        &mut self,
-        frame: &LinearFrame,
-        gaze: GazePoint,
-    ) -> StreamEncodeResult {
-        assert_eq!(
-            frame.dimensions(),
-            self.display.dimensions(),
-            "frame and display dimensions must match"
-        );
-        let map = self.map_for(gaze);
-        self.encoder.encode_frame_stream_with_map(frame, &map)
-    }
-
-    /// Stream-mode encode through caller-provided scratch: like
-    /// [`Self::encode_frame_stream`], but the BD bitstream is packed
-    /// straight into `out` (bit-identical to the `encoded.to_bitstream()`
-    /// of the other paths) and every intermediate lives in `scratch`.
+    /// Encodes the next frame of the stream, viewed under `gaze`: the BD
+    /// bitstream is packed straight into `out` (bit-identical to the
+    /// `encoded.to_bitstream()` of [`PerceptualEncoder::encode_frame_stream`]
+    /// on the same inputs when temporal coding is off) and every
+    /// intermediate lives in `scratch`. The session only saves the
+    /// eccentricity-map construction when the gaze repeats.
     ///
     /// On a cache-hitting gaze this is the allocation-free serving path: a
     /// session that keeps one [`StreamScratch`] and one output buffer
@@ -259,17 +198,6 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
         }
     }
 
-    /// Encodes a whole gaze-stream, returning one result per frame.
-    pub fn encode_stream<'a, I>(&mut self, stream: I) -> Vec<PerceptualEncodeResult>
-    where
-        I: IntoIterator<Item = (&'a LinearFrame, GazePoint)>,
-    {
-        stream
-            .into_iter()
-            .map(|(frame, gaze)| self.encode(frame, gaze))
-            .collect()
-    }
-
     /// Returns the eccentricity map for `gaze`, building and caching it on
     /// a miss and refreshing its recency on a hit.
     fn map_for(&mut self, gaze: GazePoint) -> Arc<EccentricityMap> {
@@ -290,7 +218,7 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
             config.fovea,
         ));
         self.cache.insert(0, (key, Arc::clone(&map)));
-        self.cache.truncate(self.capacity);
+        self.cache.truncate(DEFAULT_GAZE_CACHE_CAPACITY);
         map
     }
 }
@@ -302,11 +230,20 @@ mod tests {
     use pvc_frame::Dimensions;
     use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 
-    fn session(dims: Dimensions) -> BatchEncoder<SyntheticDiscriminationModel> {
+    type Session = BatchEncoder<SyntheticDiscriminationModel>;
+
+    fn session(dims: Dimensions) -> Session {
         BatchEncoder::new(
             SyntheticDiscriminationModel::default(),
             EncoderConfig::default(),
             DisplayGeometry::quest2_like(dims),
+        )
+    }
+
+    fn one_shot() -> PerceptualEncoder<SyntheticDiscriminationModel> {
+        PerceptualEncoder::new(
+            SyntheticDiscriminationModel::default(),
+            EncoderConfig::default(),
         )
     }
 
@@ -315,14 +252,32 @@ mod tests {
         (0..count).map(|t| renderer.render_linear(t)).collect()
     }
 
+    /// Encodes one frame through a fresh scratch, returning the payload
+    /// and the frame statistics.
+    fn encode(
+        batch: &mut Session,
+        frame: &LinearFrame,
+        gaze: GazePoint,
+    ) -> (Vec<u8>, StreamFrameStats) {
+        let mut payload = Vec::new();
+        let stats =
+            batch.encode_frame_stream_into(frame, gaze, &mut StreamScratch::new(), &mut payload);
+        (payload, stats)
+    }
+
+    /// `count` distinct gazes spread along the frame's diagonal, so each
+    /// one protects a different foveal region.
+    fn distinct_gazes(count: usize) -> Vec<GazePoint> {
+        (0..count)
+            .map(|i| GazePoint::new(2.0 + 5.0 * i as f64, 60.0 - 5.0 * i as f64))
+            .collect()
+    }
+
     #[test]
     fn batch_output_matches_one_shot_encoder() {
         let dims = Dimensions::new(96, 64);
         let display = DisplayGeometry::quest2_like(dims);
-        let one_shot = PerceptualEncoder::new(
-            SyntheticDiscriminationModel::default(),
-            EncoderConfig::default(),
-        );
+        let one_shot = one_shot();
         let mut batch = session(dims);
         let gazes = [
             GazePoint::center_of(dims),
@@ -331,11 +286,10 @@ mod tests {
         ];
         for (frame, gaze) in frames(dims, 3).iter().zip(gazes) {
             let expected = one_shot.encode_frame(frame, &display, gaze);
-            let got = batch.encode(frame, gaze);
-            assert_eq!(got.encoded, expected.encoded);
-            assert_eq!(got.baseline(), expected.baseline());
-            assert_eq!(got.adjusted, expected.adjusted);
-            assert_eq!(got.stats, expected.stats);
+            let (payload, stats) = encode(&mut batch, frame, gaze);
+            assert_eq!(payload, expected.encoded.to_bitstream());
+            assert_eq!(stats.adjustment, expected.stats);
+            assert_eq!(stats.compression, expected.our_stats());
         }
     }
 
@@ -345,7 +299,7 @@ mod tests {
         let mut batch = session(dims);
         let gaze = GazePoint::center_of(dims);
         for frame in frames(dims, 4) {
-            let _ = batch.encode(&frame, gaze);
+            let _ = encode(&mut batch, &frame, gaze);
         }
         let stats = batch.cache_stats();
         assert_eq!(stats.misses, 1);
@@ -357,106 +311,141 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used_gaze() {
         let dims = Dimensions::new(64, 64);
-        let mut batch = session(dims).with_cache_capacity(2);
+        let mut batch = session(dims);
         let frame = &frames(dims, 1)[0];
-        let g1 = GazePoint::new(1.0, 1.0);
-        let g2 = GazePoint::new(2.0, 2.0);
-        let g3 = GazePoint::new(3.0, 3.0);
-        let _ = batch.encode(frame, g1);
-        let _ = batch.encode(frame, g2);
-        let _ = batch.encode(frame, g3); // evicts g1
-        let _ = batch.encode(frame, g2); // hit
-        let _ = batch.encode(frame, g1); // rebuilt
-        let stats = batch.cache_stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 2);
-    }
-
-    #[test]
-    fn touching_an_entry_refreshes_its_recency() {
-        // MRU semantics: with capacity 2, re-touching g1 right before g3
-        // arrives must make g2 — not g1 — the eviction victim.
-        let dims = Dimensions::new(64, 64);
-        let mut batch = session(dims).with_cache_capacity(2);
-        let frame = &frames(dims, 1)[0];
-        let g1 = GazePoint::new(1.0, 1.0);
-        let g2 = GazePoint::new(2.0, 2.0);
-        let g3 = GazePoint::new(3.0, 3.0);
-        let _ = batch.encode(frame, g1); // miss: [g1]
-        let _ = batch.encode(frame, g2); // miss: [g2, g1]
-        let _ = batch.encode(frame, g1); // hit, refresh: [g1, g2]
-        let _ = batch.encode(frame, g3); // miss, evicts LRU g2: [g3, g1]
+        let gazes = distinct_gazes(DEFAULT_GAZE_CACHE_CAPACITY + 1);
+        for &g in &gazes {
+            let _ = encode(&mut batch, frame, g); // the last one evicts gazes[0]
+        }
+        let _ = encode(&mut batch, frame, gazes[1]); // hit
+        let _ = encode(&mut batch, frame, gazes[0]); // rebuilt
         assert_eq!(
             batch.cache_stats(),
             BatchCacheStats {
                 hits: 1,
-                misses: 3,
-                entries: 2
+                misses: DEFAULT_GAZE_CACHE_CAPACITY as u64 + 2,
+                entries: DEFAULT_GAZE_CACHE_CAPACITY
             }
         );
-        let _ = batch.encode(frame, g1); // still cached
+    }
+
+    #[test]
+    fn touching_an_entry_refreshes_its_recency() {
+        // MRU semantics: with the cache full, re-touching the oldest gaze
+        // right before a newcomer arrives must make the second-oldest —
+        // not the touched one — the eviction victim.
+        let dims = Dimensions::new(64, 64);
+        let mut batch = session(dims);
+        let frame = &frames(dims, 1)[0];
+        let gazes = distinct_gazes(DEFAULT_GAZE_CACHE_CAPACITY + 1);
+        let (newcomer, resident) = gazes.split_last().unwrap();
+        for &g in resident {
+            let _ = encode(&mut batch, frame, g); // fill: g0 is the least recently used
+        }
+        let _ = encode(&mut batch, frame, resident[0]); // hit, refresh: g1 is now the LRU
+        let _ = encode(&mut batch, frame, *newcomer); // miss, evicts LRU g1
+        let capacity = DEFAULT_GAZE_CACHE_CAPACITY as u64;
+        assert_eq!(
+            batch.cache_stats(),
+            BatchCacheStats {
+                hits: 1,
+                misses: capacity + 1,
+                entries: DEFAULT_GAZE_CACHE_CAPACITY
+            }
+        );
+        let _ = encode(&mut batch, frame, resident[0]); // still cached
         assert_eq!(batch.cache_stats().hits, 2);
-        let _ = batch.encode(frame, g2); // was evicted, rebuilt
+        let _ = encode(&mut batch, frame, resident[1]); // was evicted, rebuilt
         let stats = batch.cache_stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.misses, capacity + 2);
+        assert_eq!(stats.entries, DEFAULT_GAZE_CACHE_CAPACITY);
     }
 
     #[test]
     fn eviction_at_capacity_removes_only_the_least_recently_used() {
         let dims = Dimensions::new(64, 64);
-        let mut batch = session(dims).with_cache_capacity(3);
+        let mut batch = session(dims);
         let frame = &frames(dims, 1)[0];
-        let gazes: Vec<GazePoint> = (0..3).map(|i| GazePoint::new(i as f64, 0.0)).collect();
-        for &g in &gazes {
-            let _ = batch.encode(frame, g); // fill: [g2, g1, g0]
+        let gazes = distinct_gazes(DEFAULT_GAZE_CACHE_CAPACITY + 1);
+        let (newcomer, resident) = gazes.split_last().unwrap();
+        for &g in resident {
+            let _ = encode(&mut batch, frame, g); // fill: g0 is the least recently used
         }
-        let newcomer = GazePoint::new(99.0, 0.0);
-        let _ = batch.encode(frame, newcomer); // evicts g0: [new, g2, g1]
-                                               // g1 and g2 survived ...
-        let _ = batch.encode(frame, gazes[1]);
-        let _ = batch.encode(frame, gazes[2]);
-        assert_eq!(batch.cache_stats().hits, 2);
+        let _ = encode(&mut batch, frame, *newcomer); // evicts g0
+        for &g in &resident[1..] {
+            let _ = encode(&mut batch, frame, g); // every other gaze survived ...
+        }
+        let capacity = DEFAULT_GAZE_CACHE_CAPACITY as u64;
+        assert_eq!(batch.cache_stats().hits, capacity - 1);
         // ... and only g0 has to be rebuilt.
-        let _ = batch.encode(frame, gazes[0]);
+        let _ = encode(&mut batch, frame, resident[0]);
         assert_eq!(
             batch.cache_stats(),
             BatchCacheStats {
-                hits: 2,
-                misses: 5,
-                entries: 3
+                hits: capacity - 1,
+                misses: capacity + 2,
+                entries: DEFAULT_GAZE_CACHE_CAPACITY
             }
         );
     }
 
     #[test]
-    fn stream_mode_encode_matches_the_full_session_encode() {
-        let dims = Dimensions::new(96, 64);
-        let mut full = session(dims);
-        let mut stream = session(dims);
-        let gazes = [
-            GazePoint::center_of(dims),
-            GazePoint::new(10.0, 12.0),
-            GazePoint::center_of(dims),
-        ];
-        for (frame, gaze) in frames(dims, 3).iter().zip(gazes) {
-            let expected = full.encode(frame, gaze);
-            let got = stream.encode_frame_stream(frame, gaze);
-            assert_eq!(got.encoded, expected.encoded);
-            assert_eq!(got.adjusted, expected.adjusted);
-            assert_eq!(got.stats, expected.stats);
+    fn cache_eviction_never_changes_the_encoded_bits() {
+        // More distinct gazes than the cache holds, revisited in an order
+        // that hits surviving entries and rebuilds evicted ones. Every
+        // payload must equal the one-shot encoder's, and the hit/miss
+        // counters must follow a plain LRU model of the cache.
+        let dims = Dimensions::new(64, 64);
+        let display = DisplayGeometry::quest2_like(dims);
+        let one_shot = one_shot();
+        let mut batch = session(dims);
+        let mut scratch = StreamScratch::new();
+        let mut payload = Vec::new();
+        let gazes = distinct_gazes(DEFAULT_GAZE_CACHE_CAPACITY + 3);
+        let last = gazes.len() - 1;
+        let order: Vec<usize> = (0..gazes.len())
+            .chain([0, last, 3, 1, last, 0, 4])
+            .collect();
+        let rendered = frames(dims, order.len() as u32);
+        let mut lru: Vec<usize> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (t, (frame, &g)) in rendered.iter().zip(&order).enumerate() {
+            batch.encode_frame_stream_into(frame, gazes[g], &mut scratch, &mut payload);
+            let expected = one_shot.encode_frame_stream(frame, &display, gazes[g]);
+            assert_eq!(payload, expected.encoded.to_bitstream(), "frame {t}");
+
+            match lru.iter().position(|&k| k == g) {
+                Some(position) => {
+                    hits += 1;
+                    lru.remove(position);
+                }
+                None => misses += 1,
+            }
+            lru.insert(0, g);
+            lru.truncate(DEFAULT_GAZE_CACHE_CAPACITY);
+            assert_eq!(
+                batch.cache_stats(),
+                BatchCacheStats {
+                    hits,
+                    misses,
+                    entries: lru.len()
+                },
+                "frame {t}"
+            );
         }
-        // Both paths drive the same cache.
-        assert_eq!(stream.cache_stats(), full.cache_stats());
-        assert_eq!(stream.cache_stats().hits, 1);
+        assert!(hits >= 2, "the order must revisit cached gazes");
+        assert!(
+            misses > gazes.len() as u64,
+            "the order must rebuild evicted gazes"
+        );
     }
 
     #[test]
-    fn scratch_session_stream_matches_the_allocating_session_stream() {
+    fn scratch_session_stream_matches_the_allocating_encoder() {
         let dims = Dimensions::new(96, 64);
-        let mut allocating = session(dims);
-        let mut scratch_session = session(dims);
+        let display = DisplayGeometry::quest2_like(dims);
+        let one_shot = one_shot();
+        let mut batch = session(dims);
         let mut scratch = StreamScratch::new();
         let mut bitstream = Vec::new();
         let gazes = [
@@ -464,31 +453,16 @@ mod tests {
             GazePoint::new(10.0, 12.0),
             GazePoint::center_of(dims),
         ];
+        // One scratch and one output buffer across the stream, arriving
+        // dirty each time.
         for (frame, gaze) in frames(dims, 3).iter().zip(gazes) {
-            let expected = allocating.encode_frame_stream(frame, gaze);
-            let stats =
-                scratch_session.encode_frame_stream_into(frame, gaze, &mut scratch, &mut bitstream);
+            let expected = one_shot.encode_frame_stream(frame, &display, gaze);
+            let stats = batch.encode_frame_stream_into(frame, gaze, &mut scratch, &mut bitstream);
             assert_eq!(bitstream, expected.encoded.to_bitstream());
             assert_eq!(stats.adjustment, expected.stats);
             assert_eq!(stats.compression, expected.our_stats());
         }
-        // Both paths drive the same gaze cache.
-        assert_eq!(scratch_session.cache_stats(), allocating.cache_stats());
-        assert_eq!(scratch_session.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn encode_stream_returns_one_result_per_frame() {
-        let dims = Dimensions::new(64, 64);
-        let mut batch = session(dims);
-        let rendered = frames(dims, 3);
-        let gaze = GazePoint::center_of(dims);
-        let stream: Vec<_> = rendered.iter().map(|f| (f, gaze)).collect();
-        let results = batch.encode_stream(stream);
-        assert_eq!(results.len(), 3);
-        for result in results {
-            assert!(result.our_stats().compressed_bits <= result.bd_stats().compressed_bits);
-        }
+        assert_eq!(batch.cache_stats().hits, 1);
     }
 
     #[test]
@@ -501,7 +475,7 @@ mod tests {
         let config = EncoderConfig::default().with_temporal(TemporalConfig::every(3));
         let mut temporal =
             BatchEncoder::new(SyntheticDiscriminationModel::default(), config, display);
-        let mut intra = session(dims);
+        let intra = one_shot();
         let mut scratch = StreamScratch::new();
         let mut payload = Vec::new();
         let mut decoder = BdDecoder::new();
@@ -510,7 +484,7 @@ mod tests {
         let gaze = GazePoint::new(10.0, 12.0);
         let mut saved = 0i64;
         for (index, frame) in frames(dims, 7).iter().enumerate() {
-            let expected = intra.encode_frame_stream(frame, gaze);
+            let expected = intra.encode_frame_stream(frame, &display, gaze);
             let stats = temporal.encode_frame_stream_into(frame, gaze, &mut scratch, &mut payload);
             let expected_key = index % 3 == 0;
             assert_eq!(stats.temporal.keyframe, expected_key, "frame {index}");
@@ -597,7 +571,8 @@ mod tests {
             .collect();
 
         // A handoff at frame 4: the resumed encoder starts mid-GOP.
-        let mut resumed = make().with_start_frame(4);
+        let mut resumed = make();
+        resumed.set_next_frame_index(4);
         assert_eq!(resumed.next_frame_index(), 4);
         for (index, frame) in rendered.iter().enumerate().skip(4) {
             let mut out = Vec::new();
@@ -620,7 +595,7 @@ mod tests {
         let dims = Dimensions::new(64, 64);
         let mut batch = session(dims);
         let wrong = LinearFrame::filled(Dimensions::new(32, 32), pvc_color::LinearRgb::BLACK);
-        let _ = batch.encode(&wrong, GazePoint::center_of(dims));
+        let _ = encode(&mut batch, &wrong, GazePoint::center_of(dims));
     }
 
     #[test]
@@ -640,7 +615,9 @@ mod tests {
         let mut moved = session(dims);
         let handle = std::thread::spawn(move || {
             let frame = LinearFrame::filled(dims, pvc_color::LinearRgb::BLACK);
-            moved.encode(&frame, GazePoint::center_of(dims)).stats
+            encode(&mut moved, &frame, GazePoint::center_of(dims))
+                .1
+                .adjustment
         });
         let stats = handle.join().expect("worker thread");
         assert_eq!(stats.total_tiles, 64);

@@ -3,7 +3,6 @@
 use pvc_color::RgbAxis;
 use pvc_fovea::FoveaConfig;
 use pvc_frame::DEFAULT_TILE_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Temporal (inter-frame) coding configuration.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// migration/shed determinism pins rely on: after a forced intra refresh
 /// at a handoff boundary, the stream re-aligns bit-exactly with a solo
 /// run at the next interval multiple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalConfig {
     /// Emit an intra keyframe every this many frames (≥ 1; 1 means every
     /// frame is a keyframe, i.e. intra-only bytes).
@@ -55,7 +54,7 @@ impl TemporalConfig {
 }
 
 /// Configuration of the perceptual encoder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderConfig {
     /// Side length of the square pixel tiles (4 in the paper's main
     /// configuration).
@@ -67,13 +66,12 @@ pub struct EncoderConfig {
     pub axes: Vec<RgbAxis>,
     /// Number of worker threads for frame encoding (1 = sequential).
     ///
-    /// A struct-literal (or deserialized) 0 is normalized to 1 at encoder
+    /// A struct-literal 0 is normalized to 1 at encoder
     /// construction — `PerceptualEncoder::new` and `BdEncoder::with_threads`
     /// are the single normalization points; no call site needs a `.max(1)`
     /// guard.
     pub threads: usize,
     /// Temporal (inter-frame) coding; disabled by default.
-    #[serde(default)]
     pub temporal: TemporalConfig,
 }
 

@@ -9,7 +9,6 @@ use pvc_bdc::{
 use pvc_color::{DiscriminationModel, LinearRgb, Srgb8};
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, SrgbTileLanes, TileGrid, TileRect};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
     /// Creates an encoder from a discrimination model and a configuration.
     ///
     /// `config.threads` is normalized here, in one place: the public field
-    /// permits 0 via a struct literal (or deserialization), which means
+    /// permits 0 via a struct literal, which means
     /// sequential — the encoder never needs a thread-count guard again.
     pub fn new(model: M, mut config: EncoderConfig) -> Self {
         config.threads = config.threads.max(1);
@@ -88,52 +87,38 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         );
         let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
         let eccentricity = EccentricityMap::per_tile(display, &grid, gaze, self.config.fovea);
-        self.adjust_frame_with_map(frame, &eccentricity)
+        let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+        let stats = self.adjust_frame_with_map_into(
+            frame,
+            &eccentricity,
+            &mut AdjustScratch::new(),
+            &mut adjusted,
+        );
+        (adjusted, stats)
     }
 
-    /// Like [`Self::adjust_frame`], but reuses a prebuilt eccentricity map.
+    /// Like [`Self::adjust_frame`], but reuses a prebuilt eccentricity map,
+    /// writes the adjusted frame into a caller-provided buffer and runs the
+    /// per-tile machinery out of a caller-provided [`AdjustScratch`] — the
+    /// steady-state allocation-free form of the adjustment.
     ///
     /// The map only depends on the display geometry, tile grid, gaze and
     /// fovea configuration — not on pixel data — so a session encoding many
     /// frames at the same gaze (see [`crate::BatchEncoder`]) can build it
     /// once and amortise its cost across the stream.
     ///
-    /// The per-tile fan-out runs on `EncoderConfig::threads` scoped worker
-    /// threads; tile outcomes are folded in tile order, so the result is
-    /// bit-identical to the sequential path.
+    /// With `threads <= 1` every tile is adjusted in place through the
+    /// scratch (no allocation once the buffers are warm); the parallel path
+    /// gets one scratch per worker via
+    /// [`pvc_parallel::parallel_chunk_map_init`] and only allocates the
+    /// per-tile result pixels it has to send across threads. Tile outcomes
+    /// are folded in tile order, so the result is bit-identical to the
+    /// sequential path.
     ///
     /// # Panics
     ///
     /// Panics if the map's tile size or tile counts do not match this
     /// encoder's configuration and the frame's dimensions.
-    pub fn adjust_frame_with_map(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-    ) -> (LinearFrame, AdjustmentStats) {
-        let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
-        let mut scratch = AdjustScratch::new();
-        let stats =
-            self.adjust_frame_with_map_into(frame, eccentricity, &mut scratch, &mut adjusted);
-        (adjusted, stats)
-    }
-
-    /// Like [`Self::adjust_frame_with_map`], but writes the adjusted frame
-    /// into a caller-provided buffer and runs the per-tile machinery out
-    /// of a caller-provided [`AdjustScratch`] — the steady-state
-    /// allocation-free form of the adjustment.
-    ///
-    /// Bit-identical to `adjust_frame_with_map` on the same inputs. With
-    /// `threads <= 1` every tile is adjusted in place through the scratch
-    /// (no allocation once the buffers are warm); the parallel path gets
-    /// one scratch per worker via
-    /// [`pvc_parallel::parallel_chunk_map_init`] and only allocates the
-    /// per-tile result pixels it has to send across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not match the frame and encoder
-    /// configuration.
     pub fn adjust_frame_with_map_into(
         &self,
         frame: &LinearFrame,
@@ -247,22 +232,15 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         gaze: GazePoint,
     ) -> PerceptualEncodeResult {
         let (adjusted_linear, stats) = self.adjust_frame(frame, display, gaze);
-        self.bd_encode(frame, adjusted_linear, stats)
-    }
-
-    /// Like [`Self::encode_frame`], but reuses a prebuilt eccentricity map
-    /// (see [`Self::adjust_frame_with_map`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_with_map(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-    ) -> PerceptualEncodeResult {
-        let (adjusted_linear, stats) = self.adjust_frame_with_map(frame, eccentricity);
-        self.bd_encode(frame, adjusted_linear, stats)
+        let adjusted = adjusted_linear.to_srgb();
+        PerceptualEncodeResult {
+            original: frame.to_srgb(),
+            encoded: self.bd.encode_frame(&adjusted),
+            adjusted,
+            baseline: OnceLock::new(),
+            bd_threads: self.config.threads,
+            stats,
+        }
     }
 
     /// Stream-mode encode: adjust colors, gamma-encode and BD-compress the
@@ -284,29 +262,19 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         gaze: GazePoint,
     ) -> StreamEncodeResult {
         let (adjusted_linear, stats) = self.adjust_frame(frame, display, gaze);
-        self.bd_encode_stream(adjusted_linear, stats)
+        let adjusted = adjusted_linear.to_srgb();
+        StreamEncodeResult {
+            encoded: self.bd.encode_frame(&adjusted),
+            adjusted,
+            stats,
+        }
     }
 
-    /// Like [`Self::encode_frame_stream`], but reuses a prebuilt
-    /// eccentricity map (see [`Self::adjust_frame_with_map`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_stream_with_map(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-    ) -> StreamEncodeResult {
-        let (adjusted_linear, stats) = self.adjust_frame_with_map(frame, eccentricity);
-        self.bd_encode_stream(adjusted_linear, stats)
-    }
-
-    /// Stream-mode encode through caller-provided scratch: adjusts the
-    /// frame, gamma-encodes it and packs the BD bitstream straight into
-    /// `out` — bit-identical to
-    /// [`Self::encode_frame_stream_with_map`]'s `encoded.to_bitstream()`
-    /// — returning only the per-frame statistics.
+    /// Stream-mode encode through caller-provided scratch and a prebuilt
+    /// eccentricity map: adjusts the frame, gamma-encodes it and packs the
+    /// BD bitstream straight into `out` — bit-identical to
+    /// [`Self::encode_frame_stream`]'s `encoded.to_bitstream()` — returning
+    /// only the per-frame statistics.
     ///
     /// Every intermediate (adjusted frame, sRGB frame, tile buffers, bit
     /// packing) lives in `scratch`, so once the buffers are warm a
@@ -325,35 +293,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         scratch: &mut StreamScratch,
         out: &mut Vec<u8>,
     ) -> StreamFrameStats {
-        let started = Instant::now();
-        let adjustment = self.adjust_frame_with_map_into(
-            frame,
-            eccentricity,
-            &mut scratch.adjust,
-            &mut scratch.adjusted,
-        );
-        let after_adjust = Instant::now();
-        scratch.adjusted.to_srgb_into(&mut scratch.srgb);
-        let after_gamma = Instant::now();
-        let compression =
-            self.bd
-                .encode_frame_into(&scratch.srgb, &mut scratch.writer, &mut scratch.gather);
-        out.clear();
-        out.extend_from_slice(scratch.writer.as_bytes());
-        // Reading the clock is a vDSO call, not an allocation, so the
-        // sub-stage timing rides along without disturbing the zero-alloc
-        // pin on this path.
-        scratch.timing = StageNanos {
-            adjust: after_adjust.duration_since(started).as_nanos() as u64,
-            gamma: after_gamma.duration_since(after_adjust).as_nanos() as u64,
-            bd_encode: after_gamma.elapsed().as_nanos() as u64,
-        };
-        let bits = scratch.writer.bits_written();
-        StreamFrameStats {
-            adjustment,
-            compression,
-            temporal: intra_frame_stats(adjustment.total_tiles as u64, bits),
-        }
+        self.encode_stream_into(frame, eccentricity, None, scratch, out)
     }
 
     /// Temporal stream-mode encode: adjust, gamma-encode and emit either
@@ -385,6 +325,28 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         scratch: &mut StreamScratch,
         out: &mut Vec<u8>,
     ) -> StreamFrameStats {
+        self.encode_stream_into(
+            frame,
+            eccentricity,
+            Some((history, frame_index)),
+            scratch,
+            out,
+        )
+    }
+
+    /// The scratch stream-encode core: adjust → gamma → intra or temporal
+    /// BD pack → copy-out, with the sub-stage timing recorded on the
+    /// scratch. `temporal` is `None` for intra-only coding; otherwise it
+    /// carries the session's GOP state and the absolute frame index that
+    /// drives the keyframe schedule.
+    fn encode_stream_into(
+        &self,
+        frame: &LinearFrame,
+        eccentricity: &EccentricityMap,
+        temporal: Option<(&mut TemporalHistory, u32)>,
+        scratch: &mut StreamScratch,
+        out: &mut Vec<u8>,
+    ) -> StreamFrameStats {
         let started = Instant::now();
         let adjustment = self.adjust_frame_with_map_into(
             frame,
@@ -396,32 +358,43 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         scratch.adjusted.to_srgb_into(&mut scratch.srgb);
         let after_gamma = Instant::now();
         let interval = self.config.temporal.keyframe_interval.max(1);
-        let keyframe = frame_index % interval == 0
-            || !history.valid
-            || history.prev.dimensions() != scratch.srgb.dimensions();
-        let (temporal, compression) = if keyframe {
-            let compression =
-                self.bd
-                    .encode_frame_into(&scratch.srgb, &mut scratch.writer, &mut scratch.gather);
-            let bits = scratch.writer.bits_written();
-            (
-                intra_frame_stats(adjustment.total_tiles as u64, bits),
-                compression,
-            )
-        } else {
-            pvc_bdc::encode_temporal_frame_into(
+        let reference = temporal.as_ref().and_then(|(history, frame_index)| {
+            let predicted = frame_index % interval != 0
+                && history.valid
+                && history.prev.dimensions() == scratch.srgb.dimensions();
+            predicted.then_some(&history.prev)
+        });
+        let (temporal_stats, compression) = match reference {
+            None => {
+                let compression = self.bd.encode_frame_into(
+                    &scratch.srgb,
+                    &mut scratch.writer,
+                    &mut scratch.gather,
+                );
+                let bits = scratch.writer.bits_written();
+                (
+                    intra_frame_stats(adjustment.total_tiles as u64, bits),
+                    compression,
+                )
+            }
+            Some(prev) => pvc_bdc::encode_temporal_frame_into(
                 self.config.tile_size,
                 &scratch.srgb,
-                &history.prev,
+                prev,
                 &mut scratch.writer,
                 &mut scratch.gather,
                 &mut scratch.reference_gather,
-            )
+            ),
         };
-        history.prev.clone_from(&scratch.srgb);
-        history.valid = true;
+        if let Some((history, _)) = temporal {
+            history.prev.clone_from(&scratch.srgb);
+            history.valid = true;
+        }
         out.clear();
         out.extend_from_slice(scratch.writer.as_bytes());
+        // Reading the clock is a vDSO call, not an allocation, so the
+        // sub-stage timing rides along without disturbing the zero-alloc
+        // pin on this path.
         scratch.timing = StageNanos {
             adjust: after_adjust.duration_since(started).as_nanos() as u64,
             gamma: after_gamma.duration_since(after_adjust).as_nanos() as u64,
@@ -430,40 +403,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         StreamFrameStats {
             adjustment,
             compression,
-            temporal,
-        }
-    }
-
-    fn bd_encode(
-        &self,
-        frame: &LinearFrame,
-        adjusted_linear: LinearFrame,
-        stats: AdjustmentStats,
-    ) -> PerceptualEncodeResult {
-        let original = frame.to_srgb();
-        let adjusted = adjusted_linear.to_srgb();
-        let encoded = self.bd.encode_frame(&adjusted);
-        PerceptualEncodeResult {
-            original,
-            adjusted,
-            encoded,
-            baseline: OnceLock::new(),
-            bd_threads: self.config.threads,
-            stats,
-        }
-    }
-
-    fn bd_encode_stream(
-        &self,
-        adjusted_linear: LinearFrame,
-        stats: AdjustmentStats,
-    ) -> StreamEncodeResult {
-        let adjusted = adjusted_linear.to_srgb();
-        let encoded = self.bd.encode_frame(&adjusted);
-        StreamEncodeResult {
-            adjusted,
-            encoded,
-            stats,
+            temporal: temporal_stats,
         }
     }
 }
@@ -514,11 +454,10 @@ impl StreamScratch {
         StreamScratch::default()
     }
 
-    /// Wall-clock breakdown of the most recent
-    /// [`PerceptualEncoder::encode_frame_stream_with_map_into`] call
-    /// through this scratch (all zeros before the first encode). Lives on
-    /// the scratch rather than in [`StreamFrameStats`] so the stats stay a
-    /// pure function of the pixels — tests compare them across runs.
+    /// Wall-clock breakdown of the most recent stream-encode through this
+    /// scratch (all zeros before the first encode). Lives on the scratch
+    /// rather than in [`StreamFrameStats`] so the stats stay a pure
+    /// function of the pixels — tests compare them across runs.
     pub fn last_timing(&self) -> StageNanos {
         self.timing
     }
@@ -600,11 +539,6 @@ impl TemporalHistory {
     pub fn reset(&mut self) {
         self.valid = false;
     }
-
-    /// Whether the history holds a usable reference frame.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
 }
 
 /// Everything produced by one invocation of the perceptual encoder.
@@ -614,7 +548,7 @@ impl TemporalHistory {
 /// [`Self::bd_stats`]; callers that never compare against the baseline —
 /// streaming sessions, ablations over our own numbers — no longer pay a
 /// second BD pass per frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerceptualEncodeResult {
     /// The unadjusted frame, gamma-encoded (what BD alone would compress).
     pub original: SrgbFrame,
@@ -623,13 +557,8 @@ pub struct PerceptualEncodeResult {
     /// BD encoding of the adjusted frame — "ours" in the paper's figures.
     pub encoded: BdEncodedFrame,
     /// Lazily computed BD encoding of `original` — the "BD" baseline.
-    /// Skipped by serde (real serde has no `OnceLock` impls; the cache is
-    /// rebuilt on first access after a round-trip anyway).
-    #[serde(skip)]
     baseline: OnceLock<BdEncodedFrame>,
     /// Thread count the baseline encode should use, mirroring the encoder.
-    /// Skipped by serde; a deserialized 0 is treated as sequential.
-    #[serde(skip)]
     bd_threads: usize,
     /// Per-tile adjustment statistics.
     pub stats: AdjustmentStats,
@@ -658,8 +587,6 @@ impl PerceptualEncodeResult {
     /// lifetime of the result.
     pub fn baseline(&self) -> &BdEncodedFrame {
         self.baseline.get_or_init(|| {
-            // A deserialized result has bd_threads 0 (serde skip), which
-            // with_threads normalizes to sequential.
             BdEncoder::new(BdConfig::with_tile_size(self.encoded.tile_size()))
                 .with_threads(self.bd_threads)
                 .encode_frame(&self.original)
@@ -692,7 +619,7 @@ impl PerceptualEncodeResult {
 /// The output of the stream-mode encode path: only what a serving pipeline
 /// ships — the adjusted frame and its BD bitstream — with no baseline
 /// comparison material at all.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamEncodeResult {
     /// The perceptually adjusted frame, gamma-encoded.
     pub adjusted: SrgbFrame,

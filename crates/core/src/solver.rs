@@ -11,11 +11,10 @@
 //! closed form is optimal (as proved in Sec. 3.3).
 
 use pvc_color::{DiscriminationEllipsoid, DklColor, LinearRgb, RgbAxis};
-use serde::{Deserialize, Serialize};
 
 /// Projected-subgradient solver for
 /// `min max_i(p_i[axis]) − min_i(p_i[axis])` subject to `p_i ∈ E_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterativeSolver {
     /// Number of subgradient iterations.
     pub iterations: usize,

@@ -1,14 +1,13 @@
 //! Per-frame adjustment statistics.
 
 use crate::adjust::AdjustmentCase;
-use serde::{Deserialize, Serialize};
 
 /// Counters describing what the adjustment did to a frame.
 ///
 /// The case counters feed Fig. 12 of the paper (distribution of tiles across
 /// the two geometric cases); the foveal counter describes how many tiles
 /// were bypassed because they overlap the protected central region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdjustmentStats {
     /// Total number of tiles in the frame.
     pub total_tiles: usize,

@@ -2,7 +2,6 @@
 
 use crate::geometry::{DisplayGeometry, GazePoint};
 use pvc_frame::{TileGrid, TileRect};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the foveal bypass region.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// region around fixation are not adjusted: foveal color discrimination is
 /// too precise to exploit safely. The default radius corresponds to the
 /// central 10° field of view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FoveaConfig {
     /// Eccentricity (degrees) below which pixels are left untouched.
     pub bypass_radius_deg: f64,
@@ -61,7 +60,7 @@ impl FoveaConfig {
 /// tile centers. The map also records, per tile, whether *any* covered pixel
 /// falls inside the foveal bypass region, which is the conservative
 /// condition for skipping adjustment of that tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EccentricityMap {
     tiles_x: u32,
     tiles_y: u32,

@@ -1,10 +1,9 @@
 //! Pinhole display geometry and gaze.
 
 use pvc_frame::Dimensions;
-use serde::{Deserialize, Serialize};
 
 /// A gaze (fixation) position in pixel coordinates of a frame or sub-frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GazePoint {
     /// Horizontal pixel coordinate.
     pub x: f64,
@@ -32,7 +31,7 @@ impl GazePoint {
 /// Pixels are mapped to viewing directions with the usual perspective
 /// projection; the eccentricity of a pixel is the angle between its viewing
 /// direction and the gaze direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisplayGeometry {
     dimensions: Dimensions,
     horizontal_fov_deg: f64,

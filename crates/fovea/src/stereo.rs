@@ -8,10 +8,9 @@
 use crate::eccentricity::{EccentricityMap, FoveaConfig};
 use crate::geometry::{DisplayGeometry, GazePoint};
 use pvc_frame::{Dimensions, TileGrid};
-use serde::{Deserialize, Serialize};
 
 /// One of the two eyes of a stereo frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Eye {
     /// The left half of the frame.
     Left,
@@ -26,7 +25,7 @@ impl Eye {
 
 /// The geometry of a stereo frame: two equally sized sub-frames side by
 /// side, each covering the same monocular field of view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StereoGeometry {
     full: Dimensions,
     per_eye: DisplayGeometry,
@@ -53,12 +52,6 @@ impl StereoGeometry {
     /// A stereo geometry with a Quest-2-like per-eye field of view.
     pub fn quest2_like(full: Dimensions) -> Self {
         StereoGeometry::new(full, 104.0, 98.0)
-    }
-
-    /// Dimensions of the full (both-eyes) frame.
-    #[inline]
-    pub fn full_dimensions(&self) -> Dimensions {
-        self.full
     }
 
     /// The monocular display geometry of one eye.

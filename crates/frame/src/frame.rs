@@ -2,10 +2,9 @@
 
 use crate::tile::TileRect;
 use pvc_color::{LinearRgb, Srgb8};
-use serde::{Deserialize, Serialize};
 
 /// Width and height of a frame in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dimensions {
     /// Width in pixels.
     pub width: u32,
@@ -273,7 +272,7 @@ macro_rules! impl_frame_common {
 }
 
 /// A frame stored in the 8-bit sRGB encoding (what the framebuffer holds).
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SrgbFrame {
     dimensions: Dimensions,
     pixels: Vec<Srgb8>,
@@ -315,7 +314,7 @@ impl SrgbFrame {
 }
 
 /// A frame stored in linear RGB (the space where color adjustment happens).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct LinearFrame {
     dimensions: Dimensions,
     pixels: Vec<LinearRgb>,

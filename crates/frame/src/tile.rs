@@ -1,13 +1,12 @@
 //! Tiling of frames into fixed-size blocks.
 
 use crate::frame::Dimensions;
-use serde::{Deserialize, Serialize};
 
 /// The tile size used throughout the paper's main evaluation (4×4 pixels).
 pub const DEFAULT_TILE_SIZE: u32 = 4;
 
 /// A rectangular tile of a frame, in pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileRect {
     /// Left edge (inclusive).
     pub x: u32,
@@ -56,7 +55,7 @@ impl TileRect {
 /// let last = grid.tiles().last().unwrap();
 /// assert_eq!((last.width, last.height), (2, 2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileGrid {
     dimensions: Dimensions,
     tile_size: u32,

@@ -2,11 +2,10 @@
 
 use pvc_color::lanes::LANE_WIDTH;
 use pvc_frame::Dimensions;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the GPU the CAU is co-designed with (Adreno 650 in the
 /// Oculus Quest 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Number of shader cores.
     pub shader_cores: u32,
@@ -24,15 +23,8 @@ impl Default for GpuConfig {
     }
 }
 
-impl GpuConfig {
-    /// Peak pixel rate assuming one pixel per shader core per GPU cycle.
-    pub fn peak_pixels_per_second(&self) -> f64 {
-        f64::from(self.shader_cores) * self.frequency_mhz * 1e6
-    }
-}
-
 /// Post-synthesis parameters of the CAU (TSMC 7 nm numbers from Sec. 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CauConfig {
     /// Cycle time of the CAU in nanoseconds.
     pub cycle_time_ns: f64,
@@ -71,7 +63,7 @@ impl Default for CauConfig {
 }
 
 /// The analytical CAU model derived from a [`CauConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CauModel {
     config: CauConfig,
 }

@@ -1,7 +1,6 @@
 //! DRAM access energy model.
 
 use pvc_bdc::CompressionStats;
-use serde::{Deserialize, Serialize};
 
 /// Energy cost of moving framebuffer data through DRAM.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// calculator for a typical 8 Gb, 32-bit LPDDR4 part and arrives at
 /// 3,477 pJ per (24-bit) pixel; the per-byte figure below reproduces that
 /// number.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Energy per byte transferred through DRAM, in picojoules.
     pub energy_per_byte_pj: f64,

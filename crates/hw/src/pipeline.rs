@@ -8,7 +8,6 @@
 //! configuration, including ones the paper does not report.
 
 use crate::cau::{CauConfig, CauModel, GpuConfig};
-use serde::{Deserialize, Serialize};
 
 /// Bytes buffered per pixel in the pending buffer: three 8-bit channels plus
 /// three 16-bit fixed-point ellipsoid parameters, as in the paper's 36 KiB
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const PENDING_BYTES_PER_PIXEL: usize = 12;
 
 /// Result of simulating the pending-buffer occupancy for a number of cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineReport {
     /// Number of CAU cycles simulated.
     pub cycles: u64,
@@ -33,11 +32,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Peak buffer occupancy converted to bytes.
-    pub fn peak_occupancy_bytes(&self, pixels_per_tile: u32) -> usize {
-        self.peak_occupancy_tiles as usize * pixels_per_tile as usize * PENDING_BYTES_PER_PIXEL
-    }
-
     /// True when the GPU never stalled (the CAU keeps up with production).
     pub fn gpu_never_stalls(&self) -> bool {
         self.gpu_stall_cycles == 0
@@ -45,7 +39,7 @@ impl PipelineReport {
 }
 
 /// The producer/consumer simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSimulator {
     cau: CauConfig,
     gpu: GpuConfig,

@@ -4,10 +4,9 @@ use crate::cau::CauModel;
 use crate::dram::DramConfig;
 use pvc_bdc::CompressionStats;
 use pvc_frame::Dimensions;
-use serde::{Deserialize, Serialize};
 
 /// The display refresh rates available on the Quest 2 (Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefreshRate {
     /// 72 Hz (default).
     Hz72,
@@ -46,7 +45,7 @@ impl std::fmt::Display for RefreshRate {
 }
 
 /// Where the saved (and spent) power goes for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Resolution the frames are rendered at.
     pub dimensions: Dimensions,
@@ -75,7 +74,7 @@ impl PowerBreakdown {
 
 /// Combines the DRAM energy model and the CAU model into the power-saving
 /// analysis of Fig. 13.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerModel {
     /// DRAM energy parameters.
     pub dram: DramConfig,

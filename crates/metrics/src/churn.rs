@@ -7,10 +7,8 @@
 //! its busiest. [`ChurnCounters`] is that ledger; the streaming runtime
 //! keeps one and hands it out with the final service report.
 
-use serde::{Deserialize, Serialize};
-
 /// Running counters of session admission, retirement and completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChurnCounters {
     /// Sessions admitted into the runtime since it started.
     pub admitted: u64,

@@ -13,10 +13,8 @@
 //! matches the reference, and [`DeliveryReport::psnr_db`] is infinite —
 //! the decode-side twin of the encoder's bit-identical determinism pins.
 
-use serde::{Deserialize, Serialize};
-
 /// What one session's client observed at the end of its stream.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeliveryReport {
     /// Frames the worker sent (every frame record in the wire stream).
     pub frames_sent: u64,
@@ -46,7 +44,6 @@ pub struct DeliveryReport {
     /// earlier dropped frame broke the temporal prediction chain: every
     /// dependent (predicted) frame counts as stale until the next
     /// keyframe restores the panel.
-    #[serde(default)]
     pub stale_frames: u64,
 }
 

@@ -8,10 +8,8 @@
 //! elastic controller keeps one and folds it into the final service
 //! report so a bench run can prove each control action actually fired.
 
-use serde::{Deserialize, Serialize};
-
 /// Running counters of elastic control-plane actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ElasticityCounters {
     /// Admissions rejected outright: the session did not fit the fleet
     /// pixel budget and the pending queue was full (or could never fit).

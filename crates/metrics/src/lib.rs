@@ -57,7 +57,6 @@ pub use throughput::ThroughputReport;
 pub use tiers::{TierAggregate, TierAggregates};
 
 use pvc_frame::{FrameError, SrgbFrame};
-use serde::{Deserialize, Serialize};
 
 /// Errors produced when comparing frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +76,7 @@ impl std::fmt::Display for MetricsError {
 impl std::error::Error for MetricsError {}
 
 /// Objective quality of a distorted frame relative to a reference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Mean squared error over all channels (8-bit code values).
     pub mse: f64,
@@ -145,7 +144,7 @@ impl QualityReport {
 /// Mean and standard deviation of a sample of values; used to aggregate
 /// per-scene results the way the paper reports them (e.g. "46.0 dB,
 /// standard deviation 19.5").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleSummary {
     /// Number of samples.
     pub count: usize,

@@ -7,10 +7,8 @@
 //! service layer then merges sessions per tier and fleet-wide exactly
 //! like the other report types.
 
-use serde::{Deserialize, Serialize};
-
 /// Session-total temporal coding counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TemporalTotals {
     /// Frames emitted as intra keyframes (on an intra-only session:
     /// every frame).

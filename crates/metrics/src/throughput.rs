@@ -7,10 +7,8 @@
 //! ratio). [`ThroughputReport`] is that accumulator: shards and sessions
 //! each keep one and merge them into service-wide totals.
 
-use serde::{Deserialize, Serialize};
-
 /// Running totals of an encoding stream and the wall-clock time they took.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ThroughputReport {
     /// Frames encoded.
     pub frames: u64,

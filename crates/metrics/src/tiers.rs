@@ -13,10 +13,9 @@
 //! crate's `ResolutionTier::name()`, a config file, …).
 
 use crate::throughput::ThroughputReport;
-use serde::{Deserialize, Serialize};
 
 /// Totals for one tier of sessions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierAggregate {
     /// The tier label the sessions were recorded under.
     pub label: String,
@@ -35,7 +34,7 @@ pub struct TierAggregate {
 /// First-recorded order keeps the table stable for a fixed admission
 /// sequence without imposing an alphabetic order that would split, say,
 /// `quest2` from `quest-pro` visually.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TierAggregates {
     entries: Vec<TierAggregate>,
 }

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! let squares = pvc_parallel::parallel_map(&[1u64, 2, 3, 4], 2, |&x| x * x);
+//! let squares = pvc_parallel::parallel_map_init(&[1u64, 2, 3, 4], 2, || (), |(), &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -36,45 +36,12 @@ pub use queue::{bounded_queue, BoundedReceiver, BoundedSender, QueueClosed, Queu
 pub const MIN_ITEMS_PER_THREAD: usize = 2;
 
 /// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning the outputs in input order.
+/// returning the outputs in input order. Each worker thread first builds
+/// private state with `init` and reuses it across every item of its chunk.
 ///
 /// With `threads <= 1`, or when the work-list is too small to amortise
 /// thread spawns, the map runs sequentially on the calling thread. The
 /// output is identical in both paths.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_chunk_map(items, threads, |chunk| chunk.iter().map(&f).collect())
-}
-
-/// Maps `f` over contiguous chunks of `items` on up to `threads` scoped
-/// worker threads, concatenating the per-chunk outputs in input order.
-///
-/// This is the primitive behind [`parallel_map`]; use it directly when the
-/// worker wants to amortise per-chunk state (a stats accumulator, a scratch
-/// buffer) across the items of its chunk.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_chunk_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> Vec<U> + Sync,
-{
-    parallel_chunk_map_init(items, threads, || (), |(), chunk| f(chunk))
-}
-
-/// Like [`parallel_map`], but each worker thread first builds private
-/// state with `init` and reuses it across every item of its chunk.
 ///
 /// This is the scratch-buffer fan-out: per-tile adjustment wants one
 /// `AdjustScratch`-style set of reusable buffers *per thread*, not per
@@ -98,10 +65,11 @@ where
     })
 }
 
-/// The per-worker-state primitive behind [`parallel_map_init`] (and, with
-/// unit state, [`parallel_chunk_map`]): each worker builds one `S` with
-/// `init`, then maps `f` over contiguous chunks of `items`, concatenating
-/// the per-chunk outputs in input order.
+/// The per-worker-state primitive behind [`parallel_map_init`]: each
+/// worker builds one `S` with `init`, then maps `f` over contiguous chunks
+/// of `items`, concatenating the per-chunk outputs in input order. Use it
+/// directly when the worker wants to amortise per-chunk state (a stats
+/// accumulator, a scratch buffer) across the items of its chunk.
 ///
 /// # Panics
 ///
@@ -133,42 +101,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Runs one closure per shard on scoped worker threads, returning the
-/// results in shard order.
-///
-/// This is the serving-side counterpart of [`parallel_chunk_map`]: instead
-/// of splitting one homogeneous work-list, each shard owns a *stream* of
-/// work (its sessions, its caches) for the whole call. The closure receives
-/// its shard index; results are joined in index order, so any
-/// per-shard-deterministic computation yields the same output regardless of
-/// how the shards interleave in time.
-///
-/// With a single shard the closure runs inline on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero, and propagates a panic from any shard (the
-/// scope joins all workers first).
-pub fn shard_map<R, F>(shards: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert!(shards > 0, "shard count must be non-zero");
-    if shards == 1 {
-        return vec![f(0)];
-    }
-    let mut results = Vec::with_capacity(shards);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards).map(|s| scope.spawn(move || f(s))).collect();
-        for handle in handles {
-            results.push(handle.join().expect("shard worker panicked"));
-        }
-    });
-    results
-}
-
 /// The number of worker threads that saturates the current machine, for
 /// callers that want a good default for the `threads` knob.
 pub fn available_threads() -> usize {
@@ -179,28 +111,25 @@ pub fn available_threads() -> usize {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let items: Vec<u32> = (0..1000).collect();
-        let serial = parallel_map(&items, 1, |&x| x.wrapping_mul(2654435761));
-        for threads in [2, 3, 4, 8, 16] {
-            assert_eq!(
-                parallel_map(&items, threads, |&x| x.wrapping_mul(2654435761)),
-                serial
-            );
-        }
+    fn hash(x: &u32) -> u32 {
+        x.wrapping_mul(2654435761)
     }
 
     #[test]
     fn chunk_map_preserves_order_with_stateful_chunks() {
         let items: Vec<usize> = (0..777).collect();
-        let out = parallel_chunk_map(&items, 4, |chunk| {
-            let mut acc = Vec::with_capacity(chunk.len());
-            for &x in chunk {
-                acc.push(x + 1);
-            }
-            acc
-        });
+        let out = parallel_chunk_map_init(
+            &items,
+            4,
+            || (),
+            |(), chunk| {
+                let mut acc = Vec::with_capacity(chunk.len());
+                for &x in chunk {
+                    acc.push(x + 1);
+                }
+                acc
+            },
+        );
         assert_eq!(out, (1..=777).collect::<Vec<_>>());
     }
 
@@ -233,13 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn map_init_matches_plain_map_for_every_thread_count() {
-        let items: Vec<u32> = (0..333).collect();
-        let expected = parallel_map(&items, 1, |&x| x.wrapping_mul(2654435761));
-        for threads in [1, 2, 3, 8] {
-            let got =
-                parallel_map_init(&items, threads, || 0u32, |_, &x| x.wrapping_mul(2654435761));
-            assert_eq!(got, expected);
+    fn map_init_matches_a_serial_map_for_every_thread_count() {
+        let items: Vec<u32> = (0..1000).collect();
+        let expected: Vec<u32> = items.iter().map(hash).collect();
+        for threads in [1, 2, 3, 4, 8, 16] {
+            let got = parallel_map_init(&items, threads, || 0u32, |_, x| hash(x));
+            assert_eq!(got, expected, "{threads} threads");
         }
     }
 
@@ -261,19 +189,22 @@ mod tests {
     #[test]
     fn small_inputs_run_inline() {
         let items = [1, 2, 3];
-        assert_eq!(parallel_map(&items, 8, |&x| x * 10), vec![10, 20, 30]);
+        assert_eq!(
+            parallel_map_init(&items, 8, || (), |(), &x| x * 10),
+            vec![10, 20, 30]
+        );
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: [u8; 0] = [];
-        assert!(parallel_map(&items, 4, |&x| x).is_empty());
+        assert!(parallel_map_init(&items, 4, || (), |(), &x| x).is_empty());
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let items: Vec<u32> = (0..5).collect();
-        assert_eq!(parallel_map(&items, 64, |&x| x), items);
+        assert_eq!(parallel_map_init(&items, 64, || (), |(), &x| x), items);
     }
 
     #[test]
@@ -282,35 +213,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_returns_results_in_shard_order() {
-        for shards in [1, 2, 3, 8] {
-            let out = shard_map(shards, |s| s * 10);
-            assert_eq!(out, (0..shards).map(|s| s * 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be non-zero")]
-    fn zero_shards_panic() {
-        let _ = shard_map(0, |s| s);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard worker panicked")]
-    fn shard_panics_propagate() {
-        let _ = shard_map(4, |s| {
-            assert!(s < 3, "boom");
-            s
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "parallel worker panicked")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..64).collect();
-        let _ = parallel_map(&items, 4, |&x| {
-            assert!(x < 60, "boom");
-            x
-        });
+        let _ = parallel_map_init(
+            &items,
+            4,
+            || (),
+            |(), &x| {
+                assert!(x < 60, "boom");
+                x
+            },
+        );
     }
 }

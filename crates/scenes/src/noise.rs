@@ -1,7 +1,5 @@
 //! Deterministic value noise used by the scene generators.
 
-use serde::{Deserialize, Serialize};
-
 /// Fractal (multi-octave) value noise over a 2-D lattice.
 ///
 /// Lattice values are derived from a seed with an integer hash, so the noise
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let v = noise.sample(1.5, 2.25, 8.0);
 /// assert!((0.0..=1.0).contains(&v));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FractalNoise {
     seed: u64,
     octaves: u32,

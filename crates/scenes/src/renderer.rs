@@ -3,13 +3,12 @@
 use crate::noise::FractalNoise;
 use pvc_color::LinearRgb;
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one of the six evaluation scenes.
 ///
 /// The names follow the paper's Fig. 10–15 so results can be compared
 /// side by side; the content is synthetic (DESIGN.md, substitution S2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SceneId {
     /// Smooth indoor office: mid luminance, large flat surfaces.
     Office,
@@ -91,7 +90,7 @@ impl std::str::FromStr for SceneId {
 }
 
 /// Configuration of a scene rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneConfig {
     /// Full frame dimensions (both eyes when `stereo` is true).
     pub dimensions: Dimensions,
@@ -148,7 +147,7 @@ impl SceneConfig {
 /// let b = renderer.render_srgb(1);
 /// assert_ne!(a, b, "animation must change the frame");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneRenderer {
     scene: SceneId,
     config: SceneConfig,

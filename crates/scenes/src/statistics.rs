@@ -1,14 +1,13 @@
 //! Simple image statistics used to validate scene characteristics.
 
 use pvc_frame::LinearFrame;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of a rendered frame.
 ///
 /// Used by tests and by the experiment harness to confirm that each
 /// synthetic scene has the qualitative character of its namesake in the
 /// paper (bright/green fortnite, dark dumbo and monkey, busy skyline, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneStatistics {
     /// Mean relative luminance of the frame (0–1).
     pub mean_luminance: f64,

@@ -69,7 +69,6 @@ use crate::runtime::StreamRuntime;
 use crate::service::{ServiceReport, ShardReport};
 use crate::session::{SessionConfig, SessionProfile, SessionReport};
 use pvc_metrics::ElasticityCounters;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -79,7 +78,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// admission budget, total remaining pixels for the autoscaler — so the
 /// controller's decisions are pure functions of workload shape, not
 /// timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticConfig {
     /// Fleet-wide admission budget: the sum of live sessions' per-frame
     /// pixel costs may not exceed this.
@@ -149,7 +148,7 @@ impl ElasticConfig {
 }
 
 /// The controller's verdict on one submitted session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Admitted immediately; carries the session id the runtime assigned.
     Admitted(usize),
@@ -163,7 +162,7 @@ pub enum Admission {
 
 /// What one control tick actually did — the bench binaries log these as
 /// the controller trajectory.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickActions {
     /// Queued sessions promoted to the runtime this tick, in FIFO order.
     pub admitted: Vec<usize>,
@@ -242,11 +241,6 @@ impl ElasticController {
     /// The wrapped runtime (for load/assignment introspection).
     pub fn runtime(&self) -> &StreamRuntime {
         &self.runtime
-    }
-
-    /// The wrapped runtime, mutably (e.g. to retire sessions directly).
-    pub fn runtime_mut(&mut self) -> &mut StreamRuntime {
-        &mut self.runtime
     }
 
     /// The controller's configuration.

@@ -25,10 +25,9 @@ use pvc_fovea::GazePoint;
 use pvc_frame::Dimensions;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the fixation/saccade gaze model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixationSaccadeConfig {
     /// Shortest fixation, in frames (inclusive).
     pub min_fixation_frames: u32,
@@ -41,7 +40,7 @@ pub struct FixationSaccadeConfig {
 }
 
 /// Parameters of the smooth-pursuit gaze model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmoothPursuitConfig {
     /// Target speed in pixels per frame.
     pub speed_px_per_frame: f64,
@@ -51,7 +50,7 @@ pub struct SmoothPursuitConfig {
 }
 
 /// How a session's gaze moves over its stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GazeModel {
     /// Fixations of configurable duration separated by saccades.
     FixationSaccade(FixationSaccadeConfig),
@@ -85,7 +84,7 @@ impl GazeModel {
 }
 
 /// A deterministic, frame-indexed stream of gaze samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GazeTrace {
     samples: Vec<GazePoint>,
 }

@@ -370,8 +370,7 @@ fn encoder_for(
         SyntheticDiscriminationModel::default(),
         encoder_config,
         DisplayGeometry::quest2_like(config.dimensions()),
-    )
-    .with_cache_capacity(service.gaze_cache_capacity);
+    );
     (encoder, tile_size)
 }
 
@@ -665,15 +664,10 @@ impl StreamRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards, queue depth or cache
-    /// capacity.
+    /// Panics if the configuration has zero shards or queue depth.
     pub fn start(config: ServiceConfig, placement: Box<dyn Placement>) -> StreamRuntime {
         assert!(config.shards > 0, "shard count must be non-zero");
         assert!(config.queue_depth > 0, "queue depth must be non-zero");
-        assert!(
-            config.gaze_cache_capacity > 0,
-            "cache capacity must be non-zero"
-        );
         let (event_tx, events) = mpsc::channel();
         // All tracing storage (rings, stage tables) is allocated here,
         // before any pipeline thread runs a frame.

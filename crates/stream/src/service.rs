@@ -31,13 +31,12 @@
 use crate::placement::{Placement, Static};
 use crate::runtime::StreamRuntime;
 use crate::session::{SessionConfig, SessionReport, WorkloadMix};
-use pvc_core::{BatchCacheStats, EncoderConfig, DEFAULT_GAZE_CACHE_CAPACITY};
+use pvc_core::{BatchCacheStats, EncoderConfig};
 use pvc_frame::Dimensions;
 use pvc_metrics::{
     ChurnCounters, ElasticityCounters, SampleSummary, ThroughputReport, TierAggregates,
 };
 use pvc_trace::TraceReport;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the runtime's per-thread tracing (see [`pvc_trace`]).
 ///
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// and histogram table is pre-allocated when the shard threads spawn, so
 /// enabling it changes no encoded bit and keeps the `alloc_regression`
 /// pin green.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Capacity of each pipeline thread's event ring. When a thread
     /// records more events than this, the oldest scroll out (the
@@ -62,17 +61,8 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// Returns the configuration with a different per-thread ring
-    /// capacity (0 keeps only histograms, no events).
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
-    }
-}
-
 /// Service-wide configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Number of shard workers.
     pub shards: usize,
@@ -80,8 +70,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Encoder configuration shared by every session.
     pub encoder: EncoderConfig,
-    /// Eccentricity-map cache capacity of each session's encoder.
-    pub gaze_cache_capacity: usize,
     /// Keep every frame's encoded bitstream in the session reports.
     /// Memory-hungry; meant for tests and debugging, not serving.
     pub collect_payloads: bool,
@@ -102,7 +90,6 @@ impl Default for ServiceConfig {
             shards: 1,
             queue_depth: 4,
             encoder: EncoderConfig::default(),
-            gaze_cache_capacity: DEFAULT_GAZE_CACHE_CAPACITY,
             collect_payloads: false,
             collect_wire: false,
             trace: None,
@@ -139,18 +126,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns the configuration with a different per-session gaze-cache
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_gaze_cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be non-zero");
-        self.gaze_cache_capacity = capacity;
-        self
-    }
-
     /// Returns the configuration with payload collection switched on/off.
     pub fn with_collect_payloads(mut self, collect: bool) -> Self {
         self.collect_payloads = collect;
@@ -173,7 +148,7 @@ impl ServiceConfig {
 
 /// What one shard worker observed over its lifetime (one
 /// [`StreamService::run`] or one [`StreamRuntime`] start→shutdown).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardReport {
     /// The shard index.
     pub shard: usize,
@@ -231,7 +206,7 @@ impl ShardReport {
 }
 
 /// Everything a service run (or runtime lifetime) produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Per-session results, ordered by session id. Sessions whose reports
     /// were already handed out by `StreamRuntime::retire` are not
@@ -252,10 +227,7 @@ pub struct ServiceReport {
     pub elasticity: ElasticityCounters,
     /// Per-thread trace (events + stage histograms) when the run was
     /// configured with [`ServiceConfig::with_trace`]. Wall-clock
-    /// telemetry, machine- and timing-dependent by nature, and skipped by
-    /// serde — the JSON-facing digest lives in the bench layer's `trace`
-    /// section instead.
-    #[serde(skip)]
+    /// telemetry, machine- and timing-dependent by nature.
     pub trace: Option<TraceReport>,
 }
 
@@ -343,16 +315,12 @@ impl StreamService {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards, queue depth or cache
-    /// capacity (the builder methods already enforce this; the assert
-    /// guards struct-literal configs).
+    /// Panics if the configuration has zero shards or queue depth (the
+    /// builder methods already enforce this; the assert guards
+    /// struct-literal configs).
     pub fn new(config: ServiceConfig) -> StreamService {
         assert!(config.shards > 0, "shard count must be non-zero");
         assert!(config.queue_depth > 0, "queue depth must be non-zero");
-        assert!(
-            config.gaze_cache_capacity > 0,
-            "cache capacity must be non-zero"
-        );
         StreamService {
             config,
             sessions: Vec::new(),
@@ -452,7 +420,7 @@ mod tests {
     use crate::placement::PowerOfTwoChoices;
     use crate::session::{fnv1a_update, FNV_OFFSET_BASIS, GAZE_SEED_SALT};
     use pvc_color::SyntheticDiscriminationModel;
-    use pvc_core::BatchEncoder;
+    use pvc_core::{BatchEncoder, PerceptualEncoder, StreamScratch};
     use pvc_fovea::DisplayGeometry;
     use pvc_scenes::{SceneConfig, SceneRenderer};
 
@@ -590,18 +558,30 @@ mod tests {
             cfg.seed ^ GAZE_SEED_SALT,
             cfg.frames() as usize,
         );
+        let display = DisplayGeometry::quest2_like(cfg.dimensions());
         let mut encoder = BatchEncoder::new(
             SyntheticDiscriminationModel::default(),
             EncoderConfig::default(),
-            DisplayGeometry::quest2_like(cfg.dimensions()),
+            display,
         );
+        // The one-shot allocating encoder is the independent oracle for
+        // the bits; the hand-driven session supplies the cache counters.
+        let oracle = PerceptualEncoder::new(
+            SyntheticDiscriminationModel::default(),
+            EncoderConfig::default(),
+        );
+        let mut scratch = StreamScratch::new();
+        let mut payload = Vec::new();
         let mut digest = FNV_OFFSET_BASIS;
         let mut expected_payloads = Vec::new();
         let mut expected_bytes_in = 0u64;
         for t in 0..cfg.frames() {
             let frame = renderer.render_linear(t);
-            let result = encoder.encode_frame_stream(&frame, trace.samples()[t as usize]);
+            let gaze = trace.samples()[t as usize];
+            encoder.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut payload);
+            let result = oracle.encode_frame_stream(&frame, &display, gaze);
             let bitstream = result.encoded.to_bitstream();
+            assert_eq!(payload, bitstream, "frame {t}");
             digest = fnv1a_update(digest, &bitstream);
             expected_payloads.push(bitstream);
             // Input accounting must round partial bytes *up*.

@@ -21,7 +21,6 @@ use pvc_core::BatchCacheStats;
 use pvc_frame::Dimensions;
 use pvc_metrics::{TemporalTotals, ThroughputReport};
 use pvc_scenes::SceneId;
-use serde::{Deserialize, Serialize};
 
 /// Salt mixed into a session's seed for gaze-trace synthesis, so scene
 /// content and gaze randomness are decorrelated. Every component that
@@ -41,7 +40,7 @@ pub(crate) const GAZE_SEED_SALT: u64 = 0x6A7E_5EED_0BAD_CAFE;
 /// this tier's proportionally scaled size so a scaled-down mix keeps the
 /// real *relative* pixel costs (a Vision-class frame ≈ 3.3× a Quest-2
 /// frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolutionTier {
     /// Quest-2 class: 1832×1920 per eye, 72 Hz. The baseline tier.
     Quest2,
@@ -150,7 +149,7 @@ impl ResolutionTier {
 ///
 /// The profile is part of the determinism contract: a session's encoded
 /// stream is a pure function of `(scene, seed, profile)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionProfile {
     /// The display class, used for tier-scaled sizing and as the label
     /// per-tier telemetry groups this session under.
@@ -268,7 +267,7 @@ impl SessionProfile {
 /// [`SessionConfig::synthetic_mixed`]. Uniform is the homogeneous
 /// baseline; bimodal and heavy-tail are the shapes under which
 /// session-count-balancing placement visibly mis-routes pixel load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadMix {
     /// Every session is Quest-2 class (the homogeneous baseline).
     Uniform,
@@ -324,7 +323,7 @@ impl WorkloadMix {
 
 /// Everything needed to (re)create one headset's stream: *what* is shown
 /// (scene + seed) and *how* it renders and streams (the profile).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// The scene rendered for this headset.
     pub scene: SceneId,
@@ -422,7 +421,7 @@ fn synthetic_seed(index: usize) -> u64 {
 }
 
 /// What one session's stream produced, as observed by the service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// The session's id (its admission index).
     pub session: usize,
@@ -451,7 +450,6 @@ pub struct SessionReport {
     /// tile counts, and emitted vs. would-have-been-intra bits. On an
     /// intra-only session every frame counts as a keyframe and
     /// `bits == intra_bits`.
-    #[serde(default)]
     pub temporal: TemporalTotals,
     /// Chained FNV-1a digest over every frame's encoded bitstream, in frame
     /// order — two runs produced bit-identical streams iff digests match.

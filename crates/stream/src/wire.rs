@@ -37,7 +37,6 @@
 //! record stream a [`crate::SessionReport::wire_stream`] hands to clients.
 
 use crate::session::{fnv1a_update, ResolutionTier, FNV_OFFSET_BASIS};
-use serde::{Deserialize, Serialize};
 
 /// Version stamped into every session header record. Version 2 added the
 /// per-frame flags byte (bit 0 = keyframe).
@@ -58,7 +57,7 @@ pub const END_MAGIC: [u8; 4] = *b"PVCE";
 
 /// The session header record: enough for a client that joins at byte 0 to
 /// size its decode scratch and deadline clock before the first frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireSessionHeader {
     /// The session's id (its admission index).
     pub session: u64,
@@ -78,7 +77,7 @@ pub struct WireSessionHeader {
 /// A mid-stream tier change: the session was shed to a lower tier and
 /// every frame from `frame_index` on uses this record's geometry, tile
 /// size and refresh deadline instead of the header's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireTierChange {
     /// First frame index (in the downgraded numbering) encoded under the
     /// new profile.
@@ -96,7 +95,7 @@ pub struct WireTierChange {
 }
 
 /// Errors produced while reading a wire stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The bytes at `offset` start with no known record magic.
     BadMagic {

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use pvc_bdc::{BdDecoder, BitstreamError, FrameKind};
 use pvc_color::SyntheticDiscriminationModel;
-use pvc_core::{BatchEncoder, EncoderConfig, StreamScratch, TemporalConfig};
+use pvc_core::{BatchEncoder, EncoderConfig, PerceptualEncoder, StreamScratch, TemporalConfig};
 use pvc_fovea::{DisplayGeometry, GazePoint};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
@@ -43,7 +43,7 @@ fn encode_session(
         base.clone().with_temporal(TemporalConfig::every(interval)),
         display,
     );
-    let mut intra = BatchEncoder::new(SyntheticDiscriminationModel::default(), base, display);
+    let intra = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), base);
     let renderer = SceneRenderer::new(SceneId::Office, SceneConfig::new(dims));
     let mut scratch = StreamScratch::new();
     let mut payloads = Vec::new();
@@ -60,7 +60,7 @@ fn encode_session(
         let stats = temporal.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut payload);
         assert_eq!(stats.temporal.keyframe, index % interval == 0);
         payloads.push((stats.temporal.keyframe, payload));
-        adjusted.push(intra.encode_frame_stream(&frame, gaze).adjusted);
+        adjusted.push(intra.encode_frame_stream(&frame, &display, gaze).adjusted);
     }
     EncodedSession { payloads, adjusted }
 }

@@ -15,10 +15,9 @@ use pvc_color::{DiscriminationModel, LinearRgb, SyntheticDiscriminationModel};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the staircase calibration procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// Number of staircase reversals before the procedure stops.
     pub reversals: usize,
@@ -43,7 +42,7 @@ impl Default for CalibrationConfig {
 }
 
 /// Result of calibrating one observer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationResult {
     /// The observer that was calibrated.
     pub observer: Observer,

@@ -3,10 +3,9 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One simulated study participant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observer {
     /// Participant identifier (0-based).
     pub id: usize,
@@ -34,7 +33,7 @@ impl Observer {
 }
 
 /// Configuration of the observer population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Number of participants (11 in the paper).
     pub observers: usize,
@@ -59,7 +58,7 @@ impl Default for PopulationConfig {
 }
 
 /// A deterministic, seeded population of observers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObserverPopulation {
     observers: Vec<Observer>,
 }

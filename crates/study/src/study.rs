@@ -7,10 +7,9 @@ use pvc_frame::{LinearFrame, TileGrid};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-pixel artifact evidence of one scene shown to the participants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneTrial {
     /// Scene name (matches the paper's figure labels).
     pub scene_name: String,
@@ -89,7 +88,7 @@ pub fn artifact_visibility<M: DiscriminationModel + ?Sized>(
 }
 
 /// Configuration of the simulated study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// The observer population.
     pub population: PopulationConfig,
@@ -116,7 +115,7 @@ impl Default for StudyConfig {
 }
 
 /// Result of one scene of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneOutcome {
     /// Scene name.
     pub scene_name: String,
@@ -129,7 +128,7 @@ pub struct SceneOutcome {
 }
 
 /// Result of the whole study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyOutcome {
     /// Per-scene outcomes, in the order the trials were supplied.
     pub scenes: Vec<SceneOutcome>,
@@ -164,7 +163,7 @@ impl StudyOutcome {
 }
 
 /// The simulated user study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserStudy {
     config: StudyConfig,
     population: ObserverPopulation,
