@@ -17,6 +17,9 @@
 //! once, and the run asserts that; overriding a workload or controller
 //! knob lifts the assertions (the trajectory is then yours to shape).
 //!
+//! Sessions are placed `least-loaded` (pixel-cost-aware) unless
+//! `--placement static` asks for modulo routing.
+//!
 //! `--shards` pins a fixed fleet size and conflicts with the
 //! autoscaler knobs (`--scale-up`, `--scale-down`, `--min-shards`,
 //! `--max-shards`) — mixing them exits with a usage error.
@@ -25,7 +28,7 @@
 //! cargo run --release -p pvc_bench --bin fleet_elastic -- --quick
 //! cargo run --release -p pvc_bench --bin fleet_elastic -- \
 //!     --sessions 24 --frames 2000 --fleet-budget 80000 \
-//!     --queue-capacity 4 --max-shards 4 --placement predictive
+//!     --queue-capacity 4 --max-shards 4
 //! ```
 
 use pvc_bench::assert_session_rates;
@@ -64,7 +67,7 @@ const SPEC: ArgSpec = ArgSpec {
 
 const USAGE: &str = "[--quick] [--sessions N] [--frames N] [--width PX] [--height PX] \
                      [--shards N] [--queue-depth N] \
-                     [--placement static|p2c|least-loaded|predictive] \
+                     [--placement static|least-loaded] \
                      [--fleet-budget PIXELS] [--queue-capacity N] \
                      [--scale-up PIXELS] [--scale-down PIXELS] \
                      [--min-shards N] [--max-shards N] [--shed-after TICKS] \
@@ -257,10 +260,10 @@ fn main() {
         .parse(std::env::args().skip(1))
         .unwrap_or_else(|err| exit_with_usage(&err, USAGE));
     let config = run_config(&parsed).unwrap_or_else(|err| exit_with_usage(&err, USAGE));
-    // Predictive placement is the natural default here: the controller's
-    // migration planner scores the same remaining-work gauge.
-    let placement =
-        placement_option(&parsed, "predictive").unwrap_or_else(|err| exit_with_usage(&err, USAGE));
+    // Cost-aware placement is the default here: the burst leads with a
+    // Vision-class whale, so sessions must spread by pixels, not count.
+    let placement = placement_option(&parsed, "least-loaded")
+        .unwrap_or_else(|err| exit_with_usage(&err, USAGE));
     let placement_name = placement.name();
 
     let initial_shards = config.fixed_shards.unwrap_or(config.min_shards);

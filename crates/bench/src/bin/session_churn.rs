@@ -1,5 +1,6 @@
-//! Long-lived runtime benchmark: session churn under load-aware placement
-//! and heterogeneous workload mixes.
+//! Long-lived runtime benchmark: session churn under pixel-cost-aware
+//! placement (`--placement least-loaded`, the default) and heterogeneous
+//! workload mixes.
 //!
 //! Starts a [`StreamRuntime`], admits an initial fleet of synthetic
 //! headset sessions (optionally a heterogeneous `--mix` of resolution
@@ -61,7 +62,7 @@ const SPEC: ArgSpec = ArgSpec {
 const USAGE: &str = "[--quick] [--sessions N] [--frames N] [--shards N] \
                      [--queue-depth N] [--width PX] [--height PX] \
                      [--waves N] [--churn N] \
-                     [--placement static|p2c|least-loaded] \
+                     [--placement static|least-loaded] \
                      [--mix uniform|bimodal|heavy-tail] [--hard-cancel N] \
                      [--link none|lossless|capped] [--bandwidth-mbits MBITS] \
                      [--latency-ms MS] [--drop-prob P] [--link-seed N] \
@@ -145,10 +146,10 @@ fn main() {
         .parse(std::env::args().skip(1))
         .unwrap_or_else(|err| exit_with_usage(&err, USAGE));
     let config = run_config(&parsed).unwrap_or_else(|err| exit_with_usage(&err, USAGE));
-    // Load-aware placement is the default here: churn is exactly the
+    // Cost-aware placement is the default here: churn is exactly the
     // workload where modulo routing starts leaving shards lopsided.
-    let placement =
-        placement_option(&parsed, "p2c").unwrap_or_else(|err| exit_with_usage(&err, USAGE));
+    let placement = placement_option(&parsed, "least-loaded")
+        .unwrap_or_else(|err| exit_with_usage(&err, USAGE));
     let link_model = link_option(&parsed).unwrap_or_else(|err| exit_with_usage(&err, USAGE));
 
     println!(

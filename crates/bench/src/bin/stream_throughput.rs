@@ -52,7 +52,7 @@ const SPEC: ArgSpec = ArgSpec {
 const USAGE: &str = "[--quick] [--temporal] [--keyframe-interval N] \
                      [--sessions N] [--frames N] [--shards N] \
                      [--queue-depth N] [--width PX] [--height PX] \
-                     [--placement static|p2c|least-loaded] \
+                     [--placement static|least-loaded] \
                      [--mix uniform|bimodal|heavy-tail] \
                      [--link none|lossless|capped] [--bandwidth-mbits MBITS] \
                      [--latency-ms MS] [--drop-prob P] [--link-seed N] \

@@ -253,11 +253,9 @@ impl ParsedArgs {
 }
 
 /// Parses a `--placement` option into a session→shard policy: `static`
-/// (modulo routing), `p2c` / `power-of-two-choices` (depth-aware),
-/// `least-loaded` / `ll` (pixel-cost-aware — the right choice for
-/// heterogeneous `--mix` workloads), or `predictive` (remaining-work-
-/// aware — what the elastic controller's rebalancer assumes). `default`
-/// applies when the option is absent.
+/// (modulo routing) or `least-loaded` / `ll` (pixel-cost-aware — the
+/// right choice for heterogeneous `--mix` workloads). `default` applies
+/// when the option is absent.
 ///
 /// # Errors
 ///
@@ -268,9 +266,7 @@ pub fn placement_option(
 ) -> Result<Box<dyn pvc_stream::Placement>, CliError> {
     match parsed.value("--placement").unwrap_or(default) {
         "static" => Ok(Box::new(pvc_stream::Static)),
-        "p2c" | "power-of-two-choices" => Ok(Box::new(pvc_stream::PowerOfTwoChoices::default())),
         "least-loaded" | "ll" => Ok(Box::new(pvc_stream::LeastLoaded)),
-        "predictive" => Ok(Box::new(pvc_stream::Predictive)),
         other => Err(CliError::InvalidValue {
             option: "--placement".to_string(),
             value: other.to_string(),
@@ -597,10 +593,10 @@ mod tests {
             flags: &[],
             options: &["--placement"],
         };
-        let parsed = spec.parse(args(&["--placement", "p2c"])).unwrap();
+        let parsed = spec.parse(args(&["--placement", "static"])).unwrap();
         assert_eq!(
-            placement_option(&parsed, "static").unwrap().name(),
-            "power-of-two-choices"
+            placement_option(&parsed, "least-loaded").unwrap().name(),
+            "static"
         );
         let parsed = spec.parse(args(&["--placement", "least-loaded"])).unwrap();
         assert_eq!(
@@ -612,20 +608,25 @@ mod tests {
             placement_option(&parsed, "static").unwrap().name(),
             "least-loaded"
         );
-        let parsed = spec.parse(args(&["--placement", "predictive"])).unwrap();
-        assert_eq!(
-            placement_option(&parsed, "static").unwrap().name(),
-            "predictive"
-        );
         let parsed = spec.parse(args(&[])).unwrap();
         assert_eq!(
             placement_option(&parsed, "static").unwrap().name(),
             "static"
         );
         assert_eq!(
-            placement_option(&parsed, "p2c").unwrap().name(),
-            "power-of-two-choices"
+            placement_option(&parsed, "least-loaded").unwrap().name(),
+            "least-loaded"
         );
+        for removed in ["p2c", "power-of-two-choices", "predictive"] {
+            let parsed = spec.parse(args(&["--placement", removed])).unwrap();
+            assert_eq!(
+                placement_option(&parsed, "static").map(|policy| policy.name()),
+                Err(CliError::InvalidValue {
+                    option: "--placement".to_string(),
+                    value: removed.to_string(),
+                })
+            );
+        }
         let parsed = spec.parse(args(&["--placement", "rondom"])).unwrap();
         assert_eq!(
             placement_option(&parsed, "static").map(|policy| policy.name()),

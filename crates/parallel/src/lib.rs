@@ -23,11 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod control;
 pub mod gauge;
 pub mod queue;
 
-pub use control::{control_channel, ControlClosed, ControlPoll, ControlReceiver, ControlSender};
 pub use gauge::Gauge;
 pub use queue::{bounded_queue, BoundedReceiver, BoundedSender, QueueClosed, QueueStats};
 

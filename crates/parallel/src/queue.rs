@@ -3,19 +3,17 @@
 //! The streaming service pipelines frame production (rendering) against
 //! frame consumption (encoding) per shard. The queue between the two must
 //! be *bounded* so a fast producer cannot balloon memory with rendered
-//! frames, and the service wants two live signals from it:
+//! frames, and the service wants two signals from it:
 //!
 //! * how often the producer actually blocked — the backpressure signal
 //!   that says the encoder, not the renderer, is the bottleneck — and
-//! * how many items currently sit in the queue — the congestion signal a
-//!   load-aware placement policy reads when deciding which shard should
-//!   take the next session.
+//! * how deep the queue got — its occupancy high-water mark.
 //!
 //! [`bounded_queue`] wraps [`std::sync::mpsc::sync_channel`] with a sender
 //! that counts full-queue stalls before blocking and a receiver that
-//! decrements the occupancy gauge as it drains, and hands out a separate
-//! [`QueueStats`] handle so both counters stay readable after the sender
-//! and receiver have moved into their pipeline threads.
+//! counts what it drains, and hands out a separate [`QueueStats`] handle
+//! so the counters stay readable after the sender and receiver have moved
+//! into their pipeline threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TrySendError};
@@ -112,15 +110,10 @@ impl<T> BoundedSender<T> {
             }
         }
     }
-
-    /// Number of sends so far that found the queue full and had to block.
-    pub fn stalls(&self) -> u64 {
-        self.counters.stalls.load(Ordering::Relaxed)
-    }
 }
 
 /// The consuming half of a [`bounded_queue`]; draining it keeps the
-/// occupancy gauge in [`QueueStats`] honest.
+/// occupancy counters in [`QueueStats`] honest.
 #[derive(Debug)]
 pub struct BoundedReceiver<T> {
     inner: Receiver<T>,
@@ -147,27 +140,6 @@ impl<T> BoundedReceiver<T> {
     }
 }
 
-/// Consuming iterator over a [`BoundedReceiver`].
-#[derive(Debug)]
-pub struct IntoIter<T>(BoundedReceiver<T>);
-
-impl<T> Iterator for IntoIter<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.0.recv().ok()
-    }
-}
-
-impl<T> IntoIterator for BoundedReceiver<T> {
-    type Item = T;
-    type IntoIter = IntoIter<T>;
-
-    fn into_iter(self) -> IntoIter<T> {
-        IntoIter(self)
-    }
-}
-
 /// A read-only handle onto a queue's counters, usable after the sender and
 /// receiver have moved into their pipeline threads.
 #[derive(Debug, Clone)]
@@ -181,11 +153,10 @@ impl QueueStats {
 
     /// Items currently sitting in the queue (sent but not yet received).
     ///
-    /// A momentary snapshot: producers and consumers move it concurrently,
-    /// so treat it as a load signal, not an exact invariant. Reading
-    /// `received` before `sent` (plus the saturating subtraction) keeps
-    /// the snapshot from ever going negative, even mid-handoff.
-    pub fn depth(&self) -> usize {
+    /// A momentary snapshot: producers and consumers move it concurrently.
+    /// Reading `received` before `sent` (plus the saturating subtraction)
+    /// keeps the snapshot from ever going negative, even mid-handoff.
+    fn depth(&self) -> usize {
         let received = self.0.received.load(Ordering::Relaxed);
         let sent = self.0.sent.load(Ordering::Relaxed);
         sent.saturating_sub(received) as usize
@@ -217,8 +188,7 @@ impl QueueStats {
 /// Creates a bounded queue of the given depth.
 ///
 /// Returns the sender, the receiver, and a [`QueueStats`] handle observing
-/// how often senders blocked on a full queue and how many items are
-/// currently enqueued.
+/// how often senders blocked on a full queue and how deep it got.
 ///
 /// # Panics
 ///
@@ -272,11 +242,12 @@ mod tests {
     #[test]
     fn full_queue_counts_a_stall_and_still_delivers() {
         let (tx, rx, stats) = bounded_queue(1);
+        let producer_stats = stats.clone();
         std::thread::scope(|scope| {
             let producer = scope.spawn(move || {
                 tx.send(1u8).unwrap(); // fills the queue
                 tx.send(2u8).unwrap(); // must stall: nothing drains until then
-                tx.stalls()
+                producer_stats.stalls()
             });
             // No draining happens before the stall, so the producer's second
             // send is guaranteed to find the queue full.
@@ -331,7 +302,7 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(stats.depth(), 2);
         drop(tx);
-        assert_eq!(rx.into_iter().count(), 2);
+        assert_eq!(rx.iter().count(), 2);
         assert_eq!(stats.depth(), 0);
     }
 
@@ -352,7 +323,7 @@ mod tests {
         assert_eq!(stats.peak_depth(), 3);
         assert_eq!(stats.enqueued(), 4);
         drop(tx);
-        assert_eq!(rx.into_iter().count(), 2);
+        assert_eq!(rx.iter().count(), 2);
     }
 
     #[test]
@@ -372,7 +343,7 @@ mod tests {
         tx.send(4u8).unwrap();
         assert_eq!(stats.peak_depth(), 2);
         drop(tx);
-        assert_eq!(rx.into_iter().count(), 2);
+        assert_eq!(rx.iter().count(), 2);
         stats.reset_peak_depth();
         assert_eq!(stats.peak_depth(), 0);
     }

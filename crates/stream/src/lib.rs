@@ -21,9 +21,8 @@
 //!   are in flight, bounded render→encode queues (backpressure), and
 //!   per-session / per-shard / per-tier / churn telemetry ([`runtime`]).
 //! * [`Placement`] policies decide which shard an admitted session lands
-//!   on: [`Static`] modulo routing, depth-based [`PowerOfTwoChoices`], or
-//!   pixel-cost-aware [`LeastLoaded`] — the one heterogeneous mixes need
-//!   ([`placement`], including the fairness caveat).
+//!   on: [`Static`] modulo routing or pixel-cost-aware [`LeastLoaded`] —
+//!   the one heterogeneous mixes need ([`placement`]).
 //! * [`ElasticController`] is the control plane over a live runtime:
 //!   admission gating against a fleet pixel budget, tier-shedding under
 //!   sustained overload, shard autoscaling on hysteresis thresholds, and
@@ -133,10 +132,7 @@ pub mod wire;
 
 pub use controller::{Admission, ElasticConfig, ElasticController, TickActions};
 pub use gaze::{FixationSaccadeConfig, GazeModel, GazeTrace, SmoothPursuitConfig};
-pub use placement::{
-    plan_migration, LeastLoaded, MigrationPlan, Placement, PowerOfTwoChoices, Predictive,
-    ShardLoad, Static,
-};
+pub use placement::{plan_migration, LeastLoaded, MigrationPlan, Placement, ShardLoad, Static};
 pub use runtime::StreamRuntime;
 pub use service::{ServiceConfig, ServiceReport, ShardReport, StreamService, TraceConfig};
 pub use session::{ResolutionTier, SessionConfig, SessionProfile, SessionReport, WorkloadMix};

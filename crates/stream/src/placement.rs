@@ -7,27 +7,15 @@
 //! evenly sessions, their queued frames and (under heterogeneous profiles)
 //! their **pixels** spread across workers.
 //!
-//! Four policies ship with the crate:
+//! Two policies ship with the crate:
 //!
 //! * [`Static`] — the modulo routing of the original batch service
 //!   (`session_id % shards`). Fully deterministic and oblivious to load;
 //!   the baseline every determinism test pins against.
-//! * [`PowerOfTwoChoices`] — samples two distinct shards with a seeded
-//!   RNG and places the session on the one with the lower *depth-based*
-//!   score (queue depth plus live session count). The classic result is
-//!   that this "two choices" step drops the maximum load exponentially
-//!   compared to random placement, at the cost of reading just two load
-//!   gauges.
 //! * [`LeastLoaded`] — scans every shard and places the session on the
-//!   one with the lowest *pixel-weighted* [`ShardLoad::cost`]. The
-//!   cost-aware policy heterogeneous workloads need (see the fairness
-//!   caveat below).
-//! * [`Predictive`] — scans every shard and places the session on the one
-//!   with the least *expected remaining work*
-//!   ([`ShardLoad::remaining_pixels`] = Σ pixel_cost × remaining frames).
-//!   Where [`LeastLoaded`] reads the instantaneous commitment, this reads
-//!   how long each shard will stay busy — the signal that matters when
-//!   session lifetimes differ wildly.
+//!   one with the lowest *pixel-weighted* [`ShardLoad::cost`], so a
+//!   heterogeneous mix spreads by what its sessions cost rather than by
+//!   how many there are.
 //!
 //! Under the elastic control plane, shards can also be *draining*
 //! (winding down before decommission). Every policy skips draining shards;
@@ -35,30 +23,12 @@
 //! session off the busiest shard when the fleet's remaining work is badly
 //! skewed.
 //!
-//! # Fairness caveat: depth-based scores under mixed pixel costs
-//!
-//! [`ShardLoad::score`] counts *items* — sessions and queued frames — so
-//! any policy comparing it (notably [`PowerOfTwoChoices`]) treats a
-//! 32×32-per-frame session and a Vision-class session rendering ~3.3× the
-//! pixels as equal load. Under a bimodal mix that balance-by-count can
-//! systematically route the expensive half of the population onto one
-//! shard: session counts look even while one worker encodes several times
-//! the pixels of another. When session profiles are heterogeneous, prefer
-//! a policy that compares [`ShardLoad::cost`] (pixel-weighted), like
-//! [`LeastLoaded`]; the unit tests pin the bimodal scenario where
-//! count-balancing collapses and cost-balancing does not.
-//!
 //! Policies see only [`ShardLoad`] snapshots, so custom implementations
 //! (locality-aware, SLA-aware, …) plug in without touching the runtime.
 
 use crate::session::SessionConfig;
 
 /// A moment-in-time load snapshot of one shard, as sampled at admission.
-///
-/// The item gauges (`sessions`, `queue_depth`) and the pixel gauges
-/// (`session_pixels`, `queued_pixels`) describe the same load in two
-/// units; [`Self::score`] and [`Self::cost`] are the respective scalar
-/// summaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLoad {
     /// The shard index.
@@ -66,10 +36,6 @@ pub struct ShardLoad {
     /// Sessions currently placed on the shard (admitted, not yet
     /// completed).
     pub sessions: usize,
-    /// Messages pending in the shard's render→encode queue — rendered
-    /// frames awaiting encode, plus the session open/close markers that
-    /// travel the same queue (at most two per session lifetime).
-    pub queue_depth: usize,
     /// Sum of the live sessions' per-frame pixel costs
     /// ([`SessionConfig::pixel_cost`]) — the shard's committed encode
     /// rate in pixels per round-robin turn. Updated synchronously at
@@ -90,21 +56,9 @@ pub struct ShardLoad {
 }
 
 impl ShardLoad {
-    /// The depth-based load score: queued items plus live sessions. Queue
-    /// depth is the fast congestion signal, session count the steady
-    /// commitment signal; summing them keeps an idle-but-crowded shard
-    /// distinguishable from a busy-but-emptying one.
-    ///
-    /// Counts items, not work: see the [fairness caveat](self) before
-    /// comparing scores across shards serving mixed resolutions.
-    pub fn score(&self) -> usize {
-        self.sessions + self.queue_depth
-    }
-
     /// The pixel-weighted load cost: committed session pixels plus queued
-    /// frame pixels. The unit-consistent analogue of [`Self::score`] for
-    /// heterogeneous profiles — a Vision-class session weighs ~3.3× a
-    /// Quest-2 one instead of counting as one item.
+    /// frame pixels. A Vision-class session weighs ~3.3× a Quest-2 one
+    /// instead of counting as one item.
     pub fn cost(&self) -> u64 {
         self.session_pixels + self.queued_pixels
     }
@@ -152,76 +106,6 @@ impl Placement for Static {
     }
 }
 
-/// Load-aware placement: sample two distinct shards, take the emptier one
-/// by depth-based [`ShardLoad::score`].
-///
-/// The candidate pair comes from a seeded SplitMix64 stream, so a given
-/// seed yields a reproducible *choice sequence*; the chosen shard still
-/// depends on live load, which is timing-dependent. Encoded output is
-/// placement-independent either way.
-///
-/// Because the comparison is item-count-based, this policy can misjudge
-/// heterogeneous workloads — see the [fairness caveat](self). For mixed
-/// pixel costs, [`LeastLoaded`] compares pixel-weighted cost instead.
-#[derive(Debug, Clone)]
-pub struct PowerOfTwoChoices {
-    state: u64,
-}
-
-impl PowerOfTwoChoices {
-    /// Creates the policy with an RNG seed.
-    pub fn new(seed: u64) -> PowerOfTwoChoices {
-        PowerOfTwoChoices { state: seed }
-    }
-
-    /// SplitMix64 step: cheap, full-period, good dispersion — the same
-    /// generator the synthetic session seeds use.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-impl Default for PowerOfTwoChoices {
-    /// Seeds the RNG with a fixed constant, for reproducible choice
-    /// sequences out of the box.
-    fn default() -> Self {
-        PowerOfTwoChoices::new(0x70F2_C401_5EED_0002)
-    }
-}
-
-impl Placement for PowerOfTwoChoices {
-    fn place(&mut self, _session_id: usize, _config: &SessionConfig, loads: &[ShardLoad]) -> usize {
-        let serving: Vec<&ShardLoad> = serving(loads).collect();
-        let shards = serving.len();
-        if shards == 1 {
-            return serving[0].shard;
-        }
-        let first = (self.next_u64() % shards as u64) as usize;
-        // Sample the second candidate from the remaining shards so the two
-        // choices are always distinct.
-        let mut second = (self.next_u64() % (shards as u64 - 1)) as usize;
-        if second >= first {
-            second += 1;
-        }
-        // Lower score wins; ties break toward the lower shard index so the
-        // decision is reproducible given equal loads.
-        let (a, b) = (serving[first], serving[second]);
-        if (a.score(), a.shard) <= (b.score(), b.shard) {
-            a.shard
-        } else {
-            b.shard
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "power-of-two-choices"
-    }
-}
-
 /// Cost-aware placement: scan every shard, take the one with the lowest
 /// pixel-weighted [`ShardLoad::cost`] (ties break toward the lower shard
 /// index, so equal-load decisions are reproducible).
@@ -230,9 +114,7 @@ impl Placement for PowerOfTwoChoices {
 /// bimodal population, the expensive sessions spread by what they *cost*,
 /// not by how many they *are*. The full scan reads one gauge per shard —
 /// O(shards) per admission, irrelevant next to the cost of streaming a
-/// session — where [`PowerOfTwoChoices`] reads two; pick the latter only
-/// when shard counts are large enough for the scan to matter and the
-/// workload is homogeneous enough for item counts to be honest.
+/// session.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LeastLoaded;
 
@@ -246,32 +128,6 @@ impl Placement for LeastLoaded {
 
     fn name(&self) -> &'static str {
         "least-loaded"
-    }
-}
-
-/// Remaining-work-aware placement: scan every serving shard, take the one
-/// with the smallest [`ShardLoad::remaining_pixels`] (ties break toward
-/// the lower shard id).
-///
-/// Where [`LeastLoaded`] balances what shards are committed to *right
-/// now*, this balances how long they will *stay* committed: a shard
-/// hosting two sessions with three frames left is a better target than a
-/// near-idle shard hosting one session with ten thousand frames to go.
-/// The score is `Σ pixel_cost × remaining_frames`, maintained by the
-/// runtime as producers render frames.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Predictive;
-
-impl Placement for Predictive {
-    fn place(&mut self, _session_id: usize, _config: &SessionConfig, loads: &[ShardLoad]) -> usize {
-        serving(loads)
-            .min_by_key(|load| (load.remaining_pixels, load.shard))
-            .expect("loads always has a serving shard")
-            .shard
-    }
-
-    fn name(&self) -> &'static str {
-        "predictive"
     }
 }
 
@@ -322,25 +178,7 @@ mod tests {
         SessionConfig::synthetic(0, Dimensions::new(32, 32), 4)
     }
 
-    /// Item-count loads with zero pixel weight (the homogeneous legacy
-    /// shape).
-    fn loads(scores: &[(usize, usize)]) -> Vec<ShardLoad> {
-        scores
-            .iter()
-            .enumerate()
-            .map(|(shard, &(sessions, queue_depth))| ShardLoad {
-                shard,
-                sessions,
-                queue_depth,
-                session_pixels: 0,
-                queued_pixels: 0,
-                remaining_pixels: 0,
-                draining: false,
-            })
-            .collect()
-    }
-
-    /// Pixel-weighted loads (sessions/queue depth left at zero).
+    /// Pixel-weighted loads (session counts left at zero).
     fn pixel_loads(pixels: &[(u64, u64)]) -> Vec<ShardLoad> {
         pixels
             .iter()
@@ -348,7 +186,6 @@ mod tests {
             .map(|(shard, &(session_pixels, queued_pixels))| ShardLoad {
                 shard,
                 sessions: 0,
-                queue_depth: 0,
                 session_pixels,
                 queued_pixels,
                 remaining_pixels: 0,
@@ -366,9 +203,9 @@ mod tests {
                 |(shard, &(sessions, remaining_pixels, draining))| ShardLoad {
                     shard,
                     sessions,
-                    queue_depth: 0,
                     // Admitted cost tracks remaining work in these fixtures, so
-                    // depth-based and predictive scores agree on the ordering.
+                    // cost-aware placement and the migration planner agree on
+                    // the ordering.
                     session_pixels: remaining_pixels,
                     queued_pixels: 0,
                     remaining_pixels,
@@ -381,71 +218,10 @@ mod tests {
     #[test]
     fn static_placement_is_modulo() {
         let mut policy = Static;
-        let loads = loads(&[(9, 9), (0, 0), (5, 5)]);
+        let loads = remaining_loads(&[(9, 9_000, false), (0, 0, false), (5, 5_000, false)]);
         for id in 0..12 {
             assert_eq!(policy.place(id, &config(), &loads), id % 3);
         }
-    }
-
-    #[test]
-    fn power_of_two_prefers_the_emptier_shard() {
-        // With exactly two shards the candidate pair is always {0, 1}, so
-        // the choice is purely load-driven.
-        let mut policy = PowerOfTwoChoices::default();
-        let lopsided = loads(&[(8, 3), (1, 0)]);
-        for id in 0..16 {
-            assert_eq!(policy.place(id, &config(), &lopsided), 1);
-        }
-        let reversed = loads(&[(0, 0), (4, 2)]);
-        for id in 0..16 {
-            assert_eq!(policy.place(id, &config(), &reversed), 0);
-        }
-    }
-
-    #[test]
-    fn power_of_two_breaks_ties_toward_the_lower_index() {
-        let mut policy = PowerOfTwoChoices::default();
-        let even = loads(&[(2, 1), (2, 1)]);
-        for id in 0..16 {
-            assert_eq!(policy.place(id, &config(), &even), 0);
-        }
-    }
-
-    #[test]
-    fn power_of_two_choice_sequence_is_seed_reproducible() {
-        let even = loads(&[(0, 0); 8]);
-        let run = |seed: u64| {
-            let mut policy = PowerOfTwoChoices::new(seed);
-            (0..64)
-                .map(|id| policy.place(id, &config(), &even))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(
-            run(42),
-            run(43),
-            "different seeds should explore different candidate pairs"
-        );
-    }
-
-    #[test]
-    fn power_of_two_single_shard_short_circuits() {
-        let mut policy = PowerOfTwoChoices::default();
-        assert_eq!(policy.place(5, &config(), &loads(&[(3, 3)])), 0);
-    }
-
-    #[test]
-    fn score_sums_sessions_and_queue_depth() {
-        let load = ShardLoad {
-            shard: 0,
-            sessions: 3,
-            queue_depth: 2,
-            session_pixels: 9999,
-            queued_pixels: 1,
-            remaining_pixels: 777,
-            draining: false,
-        };
-        assert_eq!(load.score(), 5, "score ignores the pixel gauges");
     }
 
     #[test]
@@ -453,7 +229,6 @@ mod tests {
         let load = ShardLoad {
             shard: 0,
             sessions: 3,
-            queue_depth: 2,
             session_pixels: 4096,
             queued_pixels: 1024,
             remaining_pixels: 777,
@@ -473,7 +248,7 @@ mod tests {
 
     /// The pin for the pixel-weighted gauge: admit a bimodal mix to two
     /// shards, replaying each policy's decisions against synthetically
-    /// maintained loads. Session-count balancing (what a depth-based score
+    /// maintained loads. Session-count balancing (what an item-count score
     /// degenerates to here) alternates shards and collapses every
     /// expensive session onto one shard; cost-aware placement keeps the
     /// pixel load spread.
@@ -547,20 +322,7 @@ mod tests {
     #[test]
     fn policies_report_their_names() {
         assert_eq!(Static.name(), "static");
-        assert_eq!(PowerOfTwoChoices::default().name(), "power-of-two-choices");
         assert_eq!(LeastLoaded.name(), "least-loaded");
-        assert_eq!(Predictive.name(), "predictive");
-    }
-
-    #[test]
-    fn predictive_minimizes_remaining_work() {
-        let mut policy = Predictive;
-        // Shard 1 is the most *committed* but has the least left to do.
-        let loads = remaining_loads(&[(1, 5_000, false), (4, 1_000, false), (2, 3_000, false)]);
-        assert_eq!(policy.place(0, &config(), &loads), 1);
-        // Ties break toward the lower shard id.
-        let tied = remaining_loads(&[(1, 2_000, false), (1, 2_000, false)]);
-        assert_eq!(policy.place(0, &config(), &tied), 0);
     }
 
     #[test]
@@ -568,12 +330,9 @@ mod tests {
         // Shard 0 is draining and otherwise the most attractive target by
         // every score; shard 2 is the cheapest serving shard.
         let loads = remaining_loads(&[(0, 0, true), (3, 9_000, false), (1, 100, false)]);
-        let mut p2c = PowerOfTwoChoices::default();
         for id in 0..16 {
             assert_eq!(Static.place(id, &config(), &loads), [1, 2][id % 2]);
-            assert_ne!(p2c.place(id, &config(), &loads), 0);
             assert_eq!(LeastLoaded.place(id, &config(), &loads), 2);
-            assert_eq!(Predictive.place(id, &config(), &loads), 2);
         }
     }
 

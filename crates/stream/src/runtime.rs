@@ -112,10 +112,7 @@ use pvc_core::{BatchCacheStats, BatchEncoder, StreamScratch};
 use pvc_fovea::{DisplayGeometry, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame};
 use pvc_metrics::{ChurnCounters, ElasticityCounters, TemporalTotals, ThroughputReport};
-use pvc_parallel::{
-    bounded_queue, control_channel, BoundedReceiver, BoundedSender, ControlPoll, ControlReceiver,
-    ControlSender, Gauge, QueueStats,
-};
+use pvc_parallel::{bounded_queue, BoundedReceiver, BoundedSender, Gauge, QueueStats};
 use pvc_scenes::{SceneConfig, SceneRenderer};
 use pvc_trace::{Lane, Marker, Recorder, Stage, ThreadTrace, TraceEpoch, TraceReport, CLASS_OTHER};
 use std::collections::{BTreeMap, BTreeSet};
@@ -543,8 +540,7 @@ struct ShardHandle {
     /// contiguous, so placement and assignments speak in these ids, never
     /// in `Vec` positions.
     shard: usize,
-    control: ControlSender<ShardControl>,
-    queue: QueueStats,
+    control: mpsc::Sender<ShardControl>,
     /// Sessions placed on the shard and not yet completed; incremented at
     /// admission (so back-to-back placements see each other) and
     /// decremented by the worker when a session finalizes.
@@ -553,17 +549,26 @@ struct ShardHandle {
     /// pixel-weighted twin of `sessions`, maintained on the same schedule
     /// (added at admission, released at finalization).
     session_pixels: Gauge,
-    /// Pixels of rendered frames currently in the render→encode queue —
-    /// the pixel-weighted twin of the queue's depth gauge.
+    /// Pixels of rendered frames currently in the render→encode queue.
     queued_pixels: Gauge,
     /// Pixels the shard is still *due to render*: `pixel_cost ×
     /// not-yet-rendered frames`, summed over members. Raised at admission
     /// (and on migration arrival), lowered by the producer per rendered
-    /// frame and on cancel/retier/migrate — the predictive placement
-    /// signal.
+    /// frame and on cancel/retier/migrate — the signal the autoscaler and
+    /// the migration planner read.
     remaining_pixels: Gauge,
     producer: JoinHandle<()>,
     worker: JoinHandle<()>,
+}
+
+impl ShardHandle {
+    /// Sends a command to the shard's producer, which lives as long as the
+    /// handle is serving.
+    fn send(&self, command: ShardControl) {
+        if self.control.send(command).is_err() {
+            panic!("shard producer exited while the runtime is alive");
+        }
+    }
 }
 
 /// A long-lived, shard-parallel streaming service with dynamic session
@@ -575,12 +580,10 @@ struct ShardHandle {
 ///
 /// ```
 /// use pvc_frame::Dimensions;
-/// use pvc_stream::{PowerOfTwoChoices, ServiceConfig, SessionConfig, StreamRuntime};
+/// use pvc_stream::{LeastLoaded, ServiceConfig, SessionConfig, StreamRuntime};
 ///
-/// let mut runtime = StreamRuntime::start(
-///     ServiceConfig::default().with_shards(2),
-///     Box::new(PowerOfTwoChoices::default()),
-/// );
+/// let mut runtime =
+///     StreamRuntime::start(ServiceConfig::default().with_shards(2), Box::new(LeastLoaded));
 ///
 /// // Admit two sessions, retire the first mid-flight (blocks until its
 /// // stream completes), admit a third while the second is still going.
@@ -742,17 +745,16 @@ impl StreamRuntime {
     }
 
     /// Live load snapshots for every *serving* shard, as placement would
-    /// see them: item counters (sessions, queue depth), their
-    /// pixel-weighted twins (committed session pixels, queued frame
-    /// pixels), and the predictive remaining-work gauge. Entries carry
-    /// stable shard ids — after a drain they need not be contiguous.
+    /// see them: the session count, its pixel-weighted twin (committed
+    /// session pixels), queued frame pixels, and the remaining-work gauge.
+    /// Entries carry stable shard ids — after a drain they need not be
+    /// contiguous.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
             .map(|handle| ShardLoad {
                 shard: handle.shard,
                 sessions: handle.sessions.load(Ordering::Relaxed),
-                queue_depth: handle.queue.depth(),
                 session_pixels: handle.session_pixels.get(),
                 queued_pixels: handle.queued_pixels.get(),
                 remaining_pixels: handle.remaining_pixels.get(),
@@ -830,10 +832,7 @@ impl StreamRuntime {
                 .control
                 .mark(Marker::Admit, config.profile.tier.class_index(), id as u64);
         }
-        handle
-            .control
-            .send(ShardControl::Admit { id, config })
-            .expect("shard producer exited while the runtime is alive");
+        handle.send(ShardControl::Admit { id, config });
         self.assignments.insert(id, shard);
         self.churn.record_admission();
         id
@@ -888,9 +887,7 @@ impl StreamRuntime {
         }
         let shard = self.assignments[&session];
         self.handle(shard)
-            .control
-            .send(ShardControl::Cancel { id: session })
-            .expect("shard producer exited while the runtime is alive");
+            .send(ShardControl::Cancel { id: session });
         self.await_completion(session)
     }
 
@@ -1121,9 +1118,7 @@ impl StreamRuntime {
             }
         }
         self.handle(from)
-            .control
-            .send(ShardControl::Migrate { id: session })
-            .expect("shard producer exited while the runtime is alive");
+            .send(ShardControl::Migrate { id: session });
         loop {
             match self.recv_event() {
                 RuntimeEvent::Migrated { id, carry } if id == session => {
@@ -1152,10 +1147,7 @@ impl StreamRuntime {
                             * u64::from(carry.config.frames().saturating_sub(carry.frames_done)),
                     );
                     let class = carry.config.profile.tier.class_index();
-                    handle
-                        .control
-                        .send(ShardControl::Resume { id: session, carry })
-                        .expect("shard producer exited while the runtime is alive");
+                    handle.send(ShardControl::Resume { id: session, carry });
                     if let Some(tracing) = self.tracing.as_mut() {
                         tracing.control.mark(Marker::Migrate, class, session as u64);
                     }
@@ -1201,13 +1193,10 @@ impl StreamRuntime {
                 .control
                 .mark(Marker::Shed, profile.tier.class_index(), session as u64);
         }
-        self.handle(shard)
-            .control
-            .send(ShardControl::Retier {
-                id: session,
-                profile,
-            })
-            .expect("shard producer exited while the runtime is alive");
+        self.handle(shard).send(ShardControl::Retier {
+            id: session,
+            profile,
+        });
         self.elasticity.record_shed();
         true
     }
@@ -1346,7 +1335,7 @@ fn spawn_shard_threads(
     events: mpsc::Sender<RuntimeEvent>,
     tracing: Option<&TracingSpec>,
 ) -> ShardHandle {
-    let (control_tx, control_rx) = control_channel();
+    let (control_tx, control_rx) = mpsc::channel();
     let (job_tx, job_rx, queue) = bounded_queue(config.queue_depth);
     // Render buffers flow producer→worker inside ShardJob::Frame and come
     // back empty-handed on this recycle channel, so session lifetime — not
@@ -1385,7 +1374,7 @@ fn spawn_shard_threads(
             let config = config.clone();
             let links = WorkerLinks {
                 jobs: job_rx,
-                queue: queue.clone(),
+                queue,
                 gauges: WorkerGauges {
                     sessions: Arc::clone(&sessions),
                     session_pixels: session_pixels.clone(),
@@ -1402,7 +1391,6 @@ fn spawn_shard_threads(
     ShardHandle {
         shard,
         control: control_tx,
-        queue,
         sessions,
         session_pixels,
         queued_pixels,
@@ -1511,7 +1499,7 @@ fn migrate_session(
 /// the always-on render-time counter ride along without widening the
 /// thread function's signature.
 struct ProducerLinks {
-    control: ControlReceiver<ShardControl>,
+    control: mpsc::Receiver<ShardControl>,
     jobs: BoundedSender<ShardJob>,
     /// For answering [`ShardControl::Migrate`] of a non-member directly
     /// (the worker never hears about those).
@@ -1558,7 +1546,7 @@ fn producer_loop(links: &mut ProducerLinks) {
     loop {
         // Idle: sleep on the control channel rather than spinning.
         while active.is_empty() && !draining {
-            match links.control.wait() {
+            match links.control.recv().ok() {
                 Some(ShardControl::Admit { id, config }) => {
                     active.push(ProducerSession::admit(id, config));
                 }
@@ -1579,33 +1567,33 @@ fn producer_loop(links: &mut ProducerLinks) {
         }
         // Busy: absorb whatever commands piled up, without blocking.
         loop {
-            match links.control.poll() {
-                ControlPoll::Message(ShardControl::Admit { id, config }) => {
+            match links.control.try_recv() {
+                Ok(ShardControl::Admit { id, config }) => {
                     active.push(ProducerSession::admit(id, config));
                 }
-                ControlPoll::Message(ShardControl::Resume { id, carry }) => {
+                Ok(ShardControl::Resume { id, carry }) => {
                     active.push(ProducerSession::resume(id, carry));
                 }
-                ControlPoll::Message(ShardControl::Cancel { id }) => {
+                Ok(ShardControl::Cancel { id }) => {
                     if cancel_session(&mut active, id, links).is_err() {
                         return;
                     }
                 }
-                ControlPoll::Message(ShardControl::Retier { id, profile }) => {
+                Ok(ShardControl::Retier { id, profile }) => {
                     if retier_session(&mut active, id, profile, links).is_err() {
                         return;
                     }
                 }
-                ControlPoll::Message(ShardControl::Migrate { id }) => {
+                Ok(ShardControl::Migrate { id }) => {
                     if migrate_session(&mut active, id, links).is_err() {
                         return;
                     }
                 }
-                ControlPoll::Message(ShardControl::Shutdown) | ControlPoll::Closed => {
+                Ok(ShardControl::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
                     draining = true;
                     break;
                 }
-                ControlPoll::Empty => break,
+                Err(mpsc::TryRecvError::Empty) => break,
             }
         }
         if active.is_empty() {
@@ -2018,7 +2006,7 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PowerOfTwoChoices;
+    use crate::placement::LeastLoaded;
     use pvc_frame::Dimensions;
 
     fn dims() -> Dimensions {
@@ -2110,17 +2098,17 @@ mod tests {
     }
 
     #[test]
-    fn power_of_two_spreads_sessions_under_load() {
-        // With 2 shards p2c always compares both, and admissions bump the
-        // placed shard's live session count synchronously — so the second
-        // admission must see shard 0 loaded and flee to shard 1. Exact
+    fn least_loaded_spreads_sessions_under_load() {
+        // With 2 shards least-loaded compares both, and admissions raise
+        // the placed shard's committed pixels synchronously — so the second
+        // admission must see shard 0 loaded and go to shard 1. Exact
         // splits beyond that depend on live load (sessions completing
-        // mid-loop lower their shard's score, legitimately attracting
-        // later admissions), so only the both-shards-used property is
+        // mid-loop release their pixels, legitimately attracting later
+        // admissions), so only the both-shards-used property is
         // timing-independent.
         let mut runtime = StreamRuntime::start(
             ServiceConfig::default().with_shards(2),
-            Box::new(PowerOfTwoChoices::default()),
+            Box::new(LeastLoaded),
         );
         for index in 0..8 {
             runtime.admit(SessionConfig::synthetic(index, dims(), 50));
@@ -2129,7 +2117,7 @@ mod tests {
         let on_zero = placed.iter().filter(|&&shard| shard == 0).count();
         assert!(
             (1..=7).contains(&on_zero),
-            "p2c must not pile every session on one shard, got {placed:?}"
+            "least-loaded must not pile every session on one shard, got {placed:?}"
         );
         let report = runtime.shutdown();
         assert_eq!(report.totals.frames, 400);

@@ -417,7 +417,7 @@ impl StreamService {
 mod tests {
     use super::*;
     use crate::gaze::{FixationSaccadeConfig, GazeModel, GazeTrace};
-    use crate::placement::PowerOfTwoChoices;
+    use crate::placement::LeastLoaded;
     use crate::session::{fnv1a_update, FNV_OFFSET_BASIS, GAZE_SEED_SALT};
     use pvc_color::SyntheticDiscriminationModel;
     use pvc_core::{BatchEncoder, PerceptualEncoder, StreamScratch};
@@ -530,9 +530,9 @@ mod tests {
     #[test]
     fn placement_policy_does_not_change_encoded_streams() {
         let static_run = service_with(3, 5, 4, true).run();
-        let p2c_run =
-            service_with(3, 5, 4, true).run_with_placement(Box::new(PowerOfTwoChoices::default()));
-        for (a, b) in static_run.sessions.iter().zip(&p2c_run.sessions) {
+        let least_loaded_run =
+            service_with(3, 5, 4, true).run_with_placement(Box::new(LeastLoaded));
+        for (a, b) in static_run.sessions.iter().zip(&least_loaded_run.sessions) {
             assert_eq!(a.session, b.session);
             assert_eq!(a.stream_digest, b.stream_digest);
             assert_eq!(a.payloads, b.payloads);

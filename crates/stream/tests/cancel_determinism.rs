@@ -16,8 +16,7 @@
 
 use pvc_frame::Dimensions;
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, ServiceConfig, SessionConfig, Static, StreamRuntime,
-    WorkloadMix,
+    LeastLoaded, Placement, ServiceConfig, SessionConfig, Static, StreamRuntime, WorkloadMix,
 };
 
 /// Surviving sessions: a heavy-tail mix over eight indices spans all
@@ -117,11 +116,7 @@ fn surviving_streams_are_bit_identical_under_a_mid_run_cancel() {
     // rendered exactly as long as the longest observed partial stream —
     // rendering the full 100k-frame budget solo would take minutes, and
     // guessing a fixed margin would flake on a descheduled CI runner.
-    let policies: &[fn() -> Box<dyn Placement>] = &[
-        || Box::new(Static),
-        || Box::new(PowerOfTwoChoices::default()),
-        || Box::new(LeastLoaded),
-    ];
+    let policies: &[fn() -> Box<dyn Placement>] = &[|| Box::new(Static), || Box::new(LeastLoaded)];
     let mut runs = Vec::new();
     for shards in [1usize, 4] {
         for make_policy in policies {

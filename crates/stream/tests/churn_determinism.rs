@@ -11,7 +11,7 @@
 
 use pvc_frame::Dimensions;
 use pvc_stream::{
-    GazeModel, Placement, PowerOfTwoChoices, ServiceConfig, SessionConfig, Static, StreamRuntime,
+    GazeModel, LeastLoaded, Placement, ServiceConfig, SessionConfig, Static, StreamRuntime,
 };
 
 const INITIAL: usize = 8;
@@ -115,10 +115,10 @@ fn churned_sessions_match_their_solo_digests_under_every_policy() {
             static_run, expected,
             "static placement, {shards} shard(s): churn changed encoded bits"
         );
-        let p2c_run = churn_digests(shards, Box::new(PowerOfTwoChoices::default()));
+        let least_loaded_run = churn_digests(shards, Box::new(LeastLoaded));
         assert_eq!(
-            p2c_run, expected,
-            "power-of-two-choices, {shards} shard(s): churn changed encoded bits"
+            least_loaded_run, expected,
+            "least-loaded, {shards} shard(s): churn changed encoded bits"
         );
     }
 }

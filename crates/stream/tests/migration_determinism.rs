@@ -6,7 +6,7 @@
 //!   mover's full payload sequence and digest equal a solo run of the
 //!   same config, and every co-resident survivor's stream is untouched.
 //!   Pinned across {1, 4} initial shards × every placement policy
-//!   (static, power-of-two-choices, least-loaded, predictive).
+//!   (static, least-loaded).
 //! * **Shed** (`StreamRuntime::shed`): downgrading a session one
 //!   resolution tier mid-stream splices two solo runs at the switch
 //!   frame. Frames before the downgrade are bit-identical to the solo
@@ -24,8 +24,8 @@ use pvc_bdc::{is_temporal_bitstream, BdDecoder};
 use pvc_core::{EncoderConfig, TemporalConfig};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ResolutionTier, ServiceConfig,
-    SessionConfig, SessionProfile, Static, StreamRuntime, WorkloadMix,
+    LeastLoaded, Placement, ResolutionTier, ServiceConfig, SessionConfig, SessionProfile, Static,
+    StreamRuntime, WorkloadMix,
 };
 
 /// Co-resident sessions: a heavy-tail mix over eight indices spans all
@@ -134,12 +134,7 @@ fn migration_run(
     )
 }
 
-const POLICIES: &[fn() -> Box<dyn Placement>] = &[
-    || Box::new(Static),
-    || Box::new(PowerOfTwoChoices::default()),
-    || Box::new(LeastLoaded),
-    || Box::new(Predictive),
-];
+const POLICIES: &[fn() -> Box<dyn Placement>] = &[|| Box::new(Static), || Box::new(LeastLoaded)];
 
 #[test]
 fn migrated_streams_are_bit_identical_to_solo_runs() {

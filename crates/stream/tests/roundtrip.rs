@@ -14,8 +14,8 @@ use pvc_bdc::BdDecoder;
 use pvc_client::{LinkModel, SessionClient};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, ResolutionTier, ServiceConfig, SessionConfig,
-    SessionReport, Static, StreamRuntime, StreamService, WorkloadMix,
+    LeastLoaded, Placement, ResolutionTier, ServiceConfig, SessionConfig, SessionReport, Static,
+    StreamRuntime, StreamService, WorkloadMix,
 };
 
 /// A heavy-tail mix over eight indices spans all three tiers (one
@@ -118,11 +118,8 @@ fn lossless_client_reconstructs_the_workers_frames() {
 #[test]
 fn wire_streams_survive_sharding_and_placement() {
     let reference = build_service(1).run();
-    let placements: [fn() -> Box<dyn Placement>; 3] = [
-        || Box::new(Static),
-        || Box::new(PowerOfTwoChoices::default()),
-        || Box::new(LeastLoaded),
-    ];
+    let placements: [fn() -> Box<dyn Placement>; 2] =
+        [|| Box::new(Static), || Box::new(LeastLoaded)];
     for make_placement in placements {
         for shards in [1, 4] {
             let run = build_service(shards).run_with_placement(make_placement());

@@ -23,8 +23,8 @@ use pvc_bdc::{is_temporal_bitstream, BdDecoder};
 use pvc_core::{EncoderConfig, TemporalConfig};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ResolutionTier, ServiceConfig,
-    SessionConfig, SessionProfile, Static, StreamRuntime, StreamService, WorkloadMix,
+    LeastLoaded, Placement, ResolutionTier, ServiceConfig, SessionConfig, SessionProfile, Static,
+    StreamRuntime, StreamService, WorkloadMix,
 };
 
 const SESSIONS: usize = 8;
@@ -95,12 +95,7 @@ fn temporal_streams_are_bit_identical_across_shards_and_policies() {
             "the stream contains predicted frames"
         );
     }
-    let policies: &[fn() -> Box<dyn Placement>] = &[
-        || Box::new(Static),
-        || Box::new(PowerOfTwoChoices::default()),
-        || Box::new(LeastLoaded),
-        || Box::new(Predictive),
-    ];
+    let policies: &[fn() -> Box<dyn Placement>] = &[|| Box::new(Static), || Box::new(LeastLoaded)];
     for shards in [1usize, 4] {
         for make_policy in policies {
             let policy = make_policy();

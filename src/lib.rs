@@ -81,9 +81,9 @@ pub mod prelude {
     pub use pvc_metrics::{QualityReport, ThroughputReport, TierAggregates};
     pub use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
     pub use pvc_stream::{
-        FrameSink, GazeModel, GazeTrace, LeastLoaded, PowerOfTwoChoices, ResolutionTier,
-        ServiceConfig, SessionConfig, SessionProfile, StreamRuntime, StreamService, TraceConfig,
-        WireReader, WireRecord, WorkloadMix,
+        FrameSink, GazeModel, GazeTrace, LeastLoaded, ResolutionTier, ServiceConfig, SessionConfig,
+        SessionProfile, StreamRuntime, StreamService, TraceConfig, WireReader, WireRecord,
+        WorkloadMix,
     };
     pub use pvc_study::{SceneTrial, StudyConfig, UserStudy};
     pub use pvc_trace::{LatencyHistogram, Recorder, Stage, TraceEpoch, TraceReport};
