@@ -1,7 +1,8 @@
 //! Criterion throughput benchmarks of the encoder and its building blocks.
 //!
 //! These measure the software cost of the operations the paper accelerates
-//! in hardware: per-tile color adjustment (what one CAU PE does), full-frame
+//! in hardware: per-tile color adjustment (what one CAU PE does; the lane
+//! kernel next to its scalar reference), full-frame
 //! perceptual encoding, plain BD encoding, and the discrimination-model
 //! evaluation (what the GPU's RBF shader does).
 
@@ -11,7 +12,8 @@ use pvc_color::{
     DiscriminationModel, LinearRgb, RbfConfig, RbfDiscriminationModel, RgbAxis,
     SyntheticDiscriminationModel,
 };
-use pvc_core::{adjust_tile, EncoderConfig, PerceptualEncoder};
+use pvc_core::adjust::reference::adjust_tile;
+use pvc_core::{adjust_tile_with, AdjustScratch, EncoderConfig, PerceptualEncoder};
 use pvc_fovea::{DisplayGeometry, GazePoint};
 use pvc_frame::Dimensions;
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
@@ -25,8 +27,15 @@ fn bench_tile_adjustment(c: &mut Criterion) {
         })
         .collect();
     let ellipsoids: Vec<_> = pixels.iter().map(|&p| model.ellipsoid(p, 25.0)).collect();
-    c.bench_function("tile_adjustment_4x4", |b| {
+    c.bench_function("tile_adjustment_4x4_scalar_reference", |b| {
         b.iter(|| adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED))
+    });
+    // The lane kernel the encoder runs, through a warm reused scratch.
+    let mut scratch = AdjustScratch::new();
+    scratch.pixels.extend_from_slice(&pixels);
+    scratch.ellipsoids.extend_from_slice(&ellipsoids);
+    c.bench_function("tile_adjustment_4x4_lanes", |b| {
+        b.iter(|| adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED))
     });
 }
 

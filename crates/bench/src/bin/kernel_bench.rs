@@ -5,8 +5,10 @@
 //! adjustment, the sRGB quantizer in both directions, and the Base+Delta
 //! frame pack — and reports each one's pixel rate, so a regression in a
 //! single kernel is visible without re-deriving it from end-to-end
-//! numbers. `--json PATH` writes the same numbers as a `BENCH_*.json`
-//! artifact for cross-PR trend tracking.
+//! numbers. Every row is measured [`REPEATS`] times in-process and
+//! reports the median with the min/max across repeats. `--json PATH`
+//! writes the same numbers as a `BENCH_*.json` artifact for cross-PR
+//! trend tracking.
 
 use pvc_bdc::{BdConfig, BdEncoder, BitWriter};
 use pvc_bench::cli::{exit_with_usage, ArgSpec};
@@ -20,19 +22,41 @@ use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One kernel's measurement: pixels processed and wall time.
+/// In-process repeats per kernel row. A fixed count: enough for a median
+/// and a spread, without a knob that would make rows incomparable.
+const REPEATS: usize = 5;
+
+/// One kernel's measurement: pixels processed per repeat and the wall time
+/// of each of the [`REPEATS`] repeats.
 struct KernelResult {
     kernel: &'static str,
     pixels: u64,
-    wall_seconds: f64,
+    wall_seconds: Vec<f64>,
 }
 
 impl KernelResult {
-    fn megapixels_per_second(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.pixels as f64 / 1e6 / self.wall_seconds
+    /// `(median, min, max)` Mpx/s across the repeats.
+    fn megapixels_per_second(&self) -> (f64, f64, f64) {
+        let mut rates: Vec<f64> = self
+            .wall_seconds
+            .iter()
+            .map(|&secs| {
+                if secs > 0.0 {
+                    self.pixels as f64 / 1e6 / secs
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        (rates[rates.len() / 2], rates[0], rates[rates.len() - 1])
+    }
+
+    /// Median wall time of one repeat.
+    fn median_seconds(&self) -> f64 {
+        let mut secs = self.wall_seconds.clone();
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
     }
 }
 
@@ -51,17 +75,22 @@ fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Times `iters` repetitions of `body`, which must return a value that
-/// depends on the work so the optimizer cannot drop it.
-fn time<T>(iters: u32, mut body: impl FnMut() -> T) -> f64 {
-    // One untimed repetition warms caches and one-time tables (the sRGB
-    // LUTs build on first use).
+/// Times [`REPEATS`] batches of `iters` calls of `body`, which must return
+/// a value that depends on the work so the optimizer cannot drop it.
+/// Returns each batch's wall time.
+fn time<T>(iters: u32, mut body: impl FnMut() -> T) -> Vec<f64> {
+    // One untimed call warms caches and one-time tables (the sRGB LUTs
+    // build on first use).
     black_box(body());
-    let started = Instant::now();
-    for _ in 0..iters {
-        black_box(body());
-    }
-    started.elapsed().as_secs_f64()
+    (0..REPEATS)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..iters {
+                black_box(body());
+            }
+            started.elapsed().as_secs_f64()
+        })
+        .collect()
 }
 
 /// sRGB quantization, linear lanes → 8-bit codes (three channel lanes per
@@ -130,20 +159,18 @@ fn synthetic_tile(pixels_per_tile: usize, seed: &mut u64) -> Vec<LinearRgb> {
         .collect()
 }
 
-/// Per-pixel discrimination-ellipsoid construction (the model evaluation
-/// that feeds the adjustment; not a lane kernel, but timed so the adjust
-/// stage's split is visible).
+/// Per-tile discrimination-ellipsoid construction, the model call the
+/// encoder makes for every tile (`DiscriminationModel::ellipsoids_into`);
+/// not a lane kernel, but timed so the adjust stage's split is visible.
 fn bench_ellipsoid_build(tiles: &[Vec<LinearRgb>], iters: u32) -> KernelResult {
     let model = SyntheticDiscriminationModel::default();
     let pixels_per_iter: usize = tiles.iter().map(Vec::len).sum();
-    let mut scratch = AdjustScratch::new();
+    let mut ellipsoids = Vec::new();
     let wall_seconds = time(iters, || {
         let mut sum = 0.0f64;
         for tile in tiles {
-            scratch.pixels.clear();
-            scratch.pixels.extend_from_slice(tile);
-            scratch.build_ellipsoids(|p| model.ellipsoid(p, 12.0));
-            sum += scratch.ellipsoids.len() as f64;
+            model.ellipsoids_into(tile, 12.0, &mut ellipsoids);
+            sum += ellipsoids[0].axes().a;
         }
         sum
     });
@@ -232,33 +259,44 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     let encoder = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), config);
     let mut scratch = StreamScratch::new();
     let mut out = Vec::new();
-    let mut stage_nanos = [0u64; 3];
-    let wall_seconds = time(iters, || {
+    let mut encode = || {
         let stats = encoder.encode_frame_stream_with_map_into(&frame, &map, &mut scratch, &mut out);
-        let timing = scratch.last_timing();
-        stage_nanos[0] += timing.adjust;
-        stage_nanos[1] += timing.gamma;
-        stage_nanos[2] += timing.bd_encode;
-        stats.compression.compressed_bits
-    });
+        (stats.compression.compressed_bits, scratch.last_timing())
+    };
+    // Untimed warmup, as in `time`; the stage clocks below then cover
+    // exactly the timed calls of each repeat.
+    black_box(encode());
+    let mut wall_seconds = Vec::with_capacity(REPEATS);
+    let mut stage_seconds: [Vec<f64>; 3] = Default::default();
+    for _ in 0..REPEATS {
+        let mut stage_nanos = [0u64; 3];
+        let started = Instant::now();
+        for _ in 0..iters {
+            let (bits, timing) = encode();
+            black_box(bits);
+            stage_nanos[0] += timing.adjust;
+            stage_nanos[1] += timing.gamma;
+            stage_nanos[2] += timing.bd_encode;
+        }
+        wall_seconds.push(started.elapsed().as_secs_f64());
+        for (seconds, nanos) in stage_seconds.iter_mut().zip(stage_nanos) {
+            seconds.push(nanos as f64 * 1e-9);
+        }
+    }
     let pixels = dimensions.pixel_count() as u64 * u64::from(iters);
-    // The warmup iteration also bumped the stage clocks; scale them to the
-    // timed total so the split still sums to roughly the wall time.
-    let timed_fraction = f64::from(iters) / f64::from(iters + 1);
     let mut results = vec![KernelResult {
         kernel: "stream_frame",
         pixels,
         wall_seconds,
     }];
-    for (kernel, nanos) in [
-        ("stream_adjust", stage_nanos[0]),
-        ("stream_gamma", stage_nanos[1]),
-        ("stream_bd", stage_nanos[2]),
-    ] {
+    for (kernel, wall_seconds) in ["stream_adjust", "stream_gamma", "stream_bd"]
+        .into_iter()
+        .zip(stage_seconds)
+    {
         results.push(KernelResult {
             kernel,
             pixels,
-            wall_seconds: nanos as f64 * 1e-9 * timed_fraction,
+            wall_seconds,
         });
     }
     results
@@ -303,20 +341,23 @@ fn main() {
     ));
 
     println!(
-        "kernel_bench: {} mode",
+        "kernel_bench: {} mode, median of {REPEATS} repeats (min/max across them)",
         if quick { "quick" } else { "full" }
     );
     println!(
-        "{:<16} {:>10} {:>10} {:>10}",
-        "kernel", "Mpx", "secs", "Mpx/s"
+        "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "kernel", "Mpx", "secs", "Mpx/s", "min", "max"
     );
     for r in &results {
+        let (median, min, max) = r.megapixels_per_second();
         println!(
-            "{:<16} {:>10.2} {:>10.3} {:>10.2}",
+            "{:<16} {:>10.2} {:>10.3} {:>10.2} {:>10.2} {:>10.2}",
             r.kernel,
             r.pixels as f64 / 1e6,
-            r.wall_seconds,
-            r.megapixels_per_second()
+            r.median_seconds(),
+            median,
+            min,
+            max
         );
     }
 
@@ -324,17 +365,23 @@ fn main() {
         let kernels: Vec<Json> = results
             .iter()
             .map(|r| {
+                let (median, min, max) = r.megapixels_per_second();
                 object([
                     ("kernel", r.kernel.into()),
                     ("pixels", r.pixels.into()),
-                    ("wall_seconds", r.wall_seconds.into()),
-                    ("megapixels_per_second", r.megapixels_per_second().into()),
+                    ("wall_seconds", r.median_seconds().into()),
+                    ("megapixels_per_second", median.into()),
+                    ("megapixels_per_second_min", min.into()),
+                    ("megapixels_per_second_max", max.into()),
                 ])
             })
             .collect();
         let json = object([
             ("bench", "kernel_bench".into()),
-            ("parameters", object([("quick", quick.into())])),
+            (
+                "parameters",
+                object([("quick", quick.into()), ("repeats", REPEATS.into())]),
+            ),
             ("kernels", Json::Array(kernels)),
         ]);
         match write_json(std::path::Path::new(path), &json) {

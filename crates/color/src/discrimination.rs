@@ -20,7 +20,7 @@
 
 use crate::dkl::{dkl_axis_rgb_gain, DklColor};
 use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes};
-use crate::math::solve_dense;
+use crate::math::{solve_dense, Vec3};
 use crate::srgb::LinearRgb;
 
 /// Maximum eccentricity (degrees) at which the models are defined; inputs
@@ -29,8 +29,9 @@ pub const MAX_ECCENTRICITY_DEG: f64 = 55.0;
 
 /// The color discrimination function Φ: `(κ, e) → (a, b, c)` (Eq. 3).
 ///
-/// Implementations must be deterministic and cheap; the encoder calls this
-/// once per pixel.
+/// Implementations must be deterministic and cheap; the encoder evaluates Φ
+/// once per pixel, one tile at a time through
+/// [`ellipsoids_into`](Self::ellipsoids_into).
 pub trait DiscriminationModel: Send + Sync {
     /// Returns the DKL semi-axes of the discrimination ellipsoid of `color`
     /// viewed at `eccentricity_deg` degrees from fixation.
@@ -44,6 +45,22 @@ pub trait DiscriminationModel: Send + Sync {
         )
     }
 
+    /// Clears `out` and fills it with the ellipsoid of every pixel of one
+    /// tile, all viewed at the tile's `eccentricity_deg`.
+    ///
+    /// Must equal [`Self::ellipsoid`] per pixel, bit for bit. The default
+    /// is exactly that loop; a model overrides it to compute its per-tile
+    /// constants once instead of once per pixel.
+    fn ellipsoids_into(
+        &self,
+        pixels: &[LinearRgb],
+        eccentricity_deg: f64,
+        out: &mut Vec<DiscriminationEllipsoid>,
+    ) {
+        out.clear();
+        out.extend(pixels.iter().map(|&p| self.ellipsoid(p, eccentricity_deg)));
+    }
+
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
         "discrimination-model"
@@ -54,6 +71,14 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
         (**self).ellipsoid_axes(color, eccentricity_deg)
     }
+    fn ellipsoids_into(
+        &self,
+        pixels: &[LinearRgb],
+        eccentricity_deg: f64,
+        out: &mut Vec<DiscriminationEllipsoid>,
+    ) {
+        (**self).ellipsoids_into(pixels, eccentricity_deg, out)
+    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -62,6 +87,14 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
 impl<T: DiscriminationModel + ?Sized> DiscriminationModel for std::sync::Arc<T> {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
         (**self).ellipsoid_axes(color, eccentricity_deg)
+    }
+    fn ellipsoids_into(
+        &self,
+        pixels: &[LinearRgb],
+        eccentricity_deg: f64,
+        out: &mut Vec<DiscriminationEllipsoid>,
+    ) {
+        (**self).ellipsoids_into(pixels, eccentricity_deg, out)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -164,34 +197,64 @@ impl SyntheticDiscriminationModel {
         self.params
     }
 
-    /// Scalar threshold scale (linear RGB units) at a given eccentricity and
-    /// luminance, before the per-DKL-axis weighting.
-    fn extent_scale(&self, eccentricity_deg: f64, luminance: f64) -> f64 {
+    /// The eccentricity part of the threshold scale (linear RGB units):
+    /// constant across a tile, which shares one eccentricity.
+    #[inline]
+    fn eccentricity_extent(&self, eccentricity_deg: f64) -> f64 {
         let p = &self.params;
         let e = eccentricity_deg
             .clamp(0.0, MAX_ECCENTRICITY_DEG)
             .min(p.saturation_eccentricity);
-        let base = p.foveal_extent + p.extent_per_degree * e;
-        let lum = luminance.clamp(0.0, 1.0);
-        let boost = p.dark_boost + (1.0 - p.dark_boost) * lum;
-        base * boost
+        p.foveal_extent + p.extent_per_degree * e
     }
-}
 
-impl DiscriminationModel for SyntheticDiscriminationModel {
-    fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
-        let scale = self.extent_scale(eccentricity_deg, color.luminance());
+    /// The semi-axes of `color` given its tile's
+    /// [`eccentricity_extent`](Self::eccentricity_extent) and the DKL axis
+    /// gains: the luminance boost, then the per-DKL-axis weighting.
+    #[inline]
+    fn axes_for(&self, color: LinearRgb, base: f64, gains: Vec3) -> EllipsoidAxes {
         let p = &self.params;
-        // Normalize each DKL axis by how strongly a unit step along it moves
-        // the color in linear RGB, so the weights are expressed in
-        // perceptually meaningful (RGB-sized) units regardless of the DKL
-        // matrix conditioning.
-        let gains = dkl_axis_rgb_gain();
+        let lum = color.luminance().clamp(0.0, 1.0);
+        let boost = p.dark_boost + (1.0 - p.dark_boost) * lum;
+        let scale = base * boost;
         EllipsoidAxes::new(
             (scale * p.weight_k1 / gains.x).max(1e-9),
             (scale * p.weight_k2 / gains.y).max(1e-9),
             (scale * p.weight_k3 / gains.z).max(1e-9),
         )
+    }
+}
+
+impl DiscriminationModel for SyntheticDiscriminationModel {
+    fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
+        // Normalize each DKL axis by how strongly a unit step along it moves
+        // the color in linear RGB, so the weights are expressed in
+        // perceptually meaningful (RGB-sized) units regardless of the DKL
+        // matrix conditioning.
+        self.axes_for(
+            color,
+            self.eccentricity_extent(eccentricity_deg),
+            dkl_axis_rgb_gain(),
+        )
+    }
+
+    /// The per-pixel loop with the eccentricity extent and the DKL axis
+    /// gains (three column norms) computed once per tile.
+    fn ellipsoids_into(
+        &self,
+        pixels: &[LinearRgb],
+        eccentricity_deg: f64,
+        out: &mut Vec<DiscriminationEllipsoid>,
+    ) {
+        let base = self.eccentricity_extent(eccentricity_deg);
+        let gains = dkl_axis_rgb_gain();
+        out.clear();
+        out.extend(pixels.iter().map(|&color| {
+            DiscriminationEllipsoid::new(
+                DklColor::from_linear_rgb(color),
+                self.axes_for(color, base, gains),
+            )
+        }));
     }
 
     fn name(&self) -> &str {

@@ -251,7 +251,16 @@ impl DiscriminationEllipsoid {
     /// `k* = κ ± D⁻¹ w / √(wᵀ D⁻¹ w)`, which is exactly the result of the
     /// paper's Eq. 12–13 expressed without the intermediate quadric.
     pub fn extrema_along_axis(&self, axis: RgbAxis) -> AxisExtrema {
-        let w = dkl_to_rgb_matrix().row(axis.index());
+        self.extrema_along_axis_with(&dkl_to_rgb_matrix(), axis)
+    }
+
+    /// [`Self::extrema_along_axis`] with the DKL→RGB matrix passed in, so a
+    /// per-tile loop fetches it once instead of three times per ellipsoid.
+    /// `dkl_to_rgb` must be [`dkl_to_rgb_matrix`] for the result to be the
+    /// ellipsoid's extrema.
+    #[inline]
+    pub fn extrema_along_axis_with(&self, dkl_to_rgb: &Mat3, axis: RgbAxis) -> AxisExtrema {
+        let w = dkl_to_rgb.row(axis.index());
         let s = self.axes.to_vec3();
         // D⁻¹ w  (D is diagonal).
         let dinv_w = Vec3::new(w.x * s.x * s.x, w.y * s.y * s.y, w.z * s.z * s.z);
@@ -262,8 +271,8 @@ impl DiscriminationEllipsoid {
             dinv_w * (1.0 / denom)
         };
         let center = self.center.to_vec3();
-        let high = DklColor::from_vec3(center + offset).to_linear_rgb();
-        let low = DklColor::from_vec3(center - offset).to_linear_rgb();
+        let high = LinearRgb::from_vec3(*dkl_to_rgb * (center + offset));
+        let low = LinearRgb::from_vec3(*dkl_to_rgb * (center - offset));
         // Ordering: `high` must have the larger channel value.
         if high.channel(axis.index()) >= low.channel(axis.index()) {
             AxisExtrema { axis, high, low }

@@ -243,6 +243,58 @@ pub fn linear_to_srgb8_slice(input: &[f64], out: &mut [u8]) {
     }
 }
 
+/// The smallest and largest [`linear_to_srgb8`] code over `values`, from
+/// one `f64` min/max pass and two quantizations.
+///
+/// The quantizer is a threshold step function: non-decreasing in `x`, with
+/// NaN, negatives and `-0.0` all mapping to code 0. Folding those inputs to
+/// `+0.0` therefore changes no code and leaves a NaN-free, ordered set, on
+/// which the code of the smallest value is the smallest code and the code
+/// of the largest value the largest. The result equals quantizing every
+/// value and reducing the codes with [`min_max_u8`](crate::lanes::min_max_u8),
+/// including its fold identities `(u8::MAX, u8::MIN)` for an empty slice.
+///
+/// # Examples
+///
+/// ```
+/// use pvc_color::srgb::{linear_to_srgb8, linear_to_srgb8_min_max};
+/// let values = [0.25, f64::NAN, 0.75, -1.0];
+/// assert_eq!(linear_to_srgb8_min_max(&values), (0, linear_to_srgb8(0.75)));
+/// ```
+pub fn linear_to_srgb8_min_max(values: &[f64]) -> (u8, u8) {
+    /// Independent accumulator chains. Fewer than `LANE_WIDTH`: the
+    /// adjustment calls this on 16–64-value tile lanes, where the 8-wide
+    /// arrays' horizontal reduction cost more than the chains they break.
+    const CHAINS: usize = 4;
+    if values.is_empty() {
+        return (u8::MAX, u8::MIN);
+    }
+    // Selects rather than f64::min/max: the folded values hold no NaN, so
+    // a plain compare-select is exact.
+    let fold = |x: f64| if x > 0.0 { x } else { 0.0 };
+    let min2 = |a: f64, b: f64| if b < a { b } else { a };
+    let max2 = |a: f64, b: f64| if b > a { b } else { a };
+    let mut lo = [f64::INFINITY; CHAINS];
+    let mut hi = [f64::NEG_INFINITY; CHAINS];
+    let mut chunks = values.chunks_exact(CHAINS);
+    for chunk in &mut chunks {
+        for i in 0..CHAINS {
+            let x = fold(chunk[i]);
+            lo[i] = min2(lo[i], x);
+            hi[i] = max2(hi[i], x);
+        }
+    }
+    for &x in chunks.remainder() {
+        let x = fold(x);
+        lo[0] = min2(lo[0], x);
+        hi[0] = max2(hi[0], x);
+    }
+    let min = min2(min2(lo[0], lo[1]), min2(lo[2], lo[3]));
+    let max = max2(max2(hi[0], hi[1]), max2(hi[2], hi[3]));
+    let tables = encode_tables();
+    (encode_one(tables, min), encode_one(tables, max))
+}
+
 /// Expands a slice of 8-bit sRGB codes to linear values in
 /// [`LANE_WIDTH`]-wide groups. Bit-identical to [`srgb8_to_linear`] per
 /// element.

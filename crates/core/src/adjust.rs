@@ -17,12 +17,19 @@
 //! each pixel's own extrema vector, so the adjusted color stays inside its
 //! ellipsoid by construction; an additional gamut clamp shortens the move if
 //! it would leave `[0, 1]`.
+//!
+//! [`adjust_tile_with`] is the one kernel the encoder runs, over SoA lanes
+//! of one tile at a time; [`reference`](mod@reference) keeps the scalar
+//! per-pixel kernels it is pinned against.
 
 use pvc_bdc::tile_codec::bits_for_range;
-use pvc_color::lanes::{max_f64, min_f64, min_max_u8};
-use pvc_color::srgb::linear_to_srgb8_slice;
-use pvc_color::{AxisExtrema, DiscriminationEllipsoid, LinearRgb, RgbAxis, Vec3};
+use pvc_color::lanes::{max_f64, min_f64};
+use pvc_color::{
+    dkl_to_rgb_matrix, linear_to_srgb8_min_max, DiscriminationEllipsoid, LinearRgb, Mat3, RgbAxis,
+};
 use pvc_frame::LinearTileLanes;
+
+pub mod reference;
 
 /// Which of the two geometric cases of Fig. 6 a tile fell into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,135 +52,13 @@ impl AdjustmentCase {
     }
 }
 
-/// The result of adjusting one tile along one axis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AxisAdjustment {
-    /// The axis the adjustment optimized.
-    pub axis: RgbAxis,
-    /// Which geometric case the tile fell into.
-    pub case: AdjustmentCase,
-    /// The adjusted pixel colors (same order as the input).
-    pub adjusted: Vec<LinearRgb>,
-    /// The HL plane value (highest of the lowest extrema) along the axis.
-    pub hl: f64,
-    /// The LH plane value (lowest of the highest extrema) along the axis.
-    pub lh: f64,
-}
-
-impl AxisAdjustment {
-    /// Total Δ bit cost of the adjusted tile after sRGB quantization,
-    /// summed over all three channels (the quantity Eq. 7a minimizes, minus
-    /// the constant base cost).
-    pub fn delta_bit_cost(&self) -> u64 {
-        delta_bit_cost(&self.adjusted)
-    }
-}
-
-/// The final result of adjusting a tile: the best of the per-axis attempts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileAdjustment {
-    /// The winning per-axis adjustment.
-    pub chosen: AxisAdjustment,
-    /// Δ bit cost of the original (unadjusted) tile, for reporting.
-    pub original_cost: u64,
-}
-
-impl TileAdjustment {
-    /// The adjusted pixels of the winning attempt.
-    pub fn adjusted_pixels(&self) -> &[LinearRgb] {
-        &self.chosen.adjusted
-    }
-
-    /// Δ bits saved relative to the unadjusted tile (zero if the adjustment
-    /// could not help).
-    pub fn delta_bits_saved(&self) -> u64 {
-        self.original_cost
-            .saturating_sub(self.chosen.delta_bit_cost())
-    }
-}
-
-/// Σ over channels of the per-Δ bit length × pixel count for a tile of
-/// linear-RGB pixels, measured after sRGB quantization.
-///
-/// Scalar reference walk over AoS pixels; the hot path
-/// ([`adjust_tile_with`]) computes the same quantity over SoA lanes with
-/// [`delta_bit_cost_lanes`], and the equivalence tests compare the two.
-fn delta_bit_cost(pixels: &[LinearRgb]) -> u64 {
-    let mut total = 0u64;
-    for channel in 0..3 {
-        let mut min = u8::MAX;
-        let mut max = u8::MIN;
-        for p in pixels {
-            let v = p.to_srgb8().channel(channel);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        total += u64::from(bits_for_range(max - min)) * pixels.len() as u64;
-    }
-    total
-}
-
-/// Moves `color` along its extrema vector until its `axis` channel reaches
-/// `target`, shortening the move if it would leave the `[0, 1]` gamut.
-///
-/// `color` must be the center of the ellipsoid that produced `extrema`; the
-/// extrema vector passes through the center, so any point reached this way
-/// stays inside the ellipsoid.
-fn move_along_extrema(
-    color: LinearRgb,
-    extrema: &AxisExtrema,
-    axis: RgbAxis,
-    target: f64,
-) -> LinearRgb {
-    let direction = extrema.extrema_vector();
-    let axis_span = direction.component(axis.index());
-    if axis_span.abs() <= f64::EPSILON {
-        return color;
-    }
-    let current = color.channel(axis.index());
-    // Fraction of the full extrema vector needed to reach the target.
-    let mut t = (target - current) / axis_span;
-    // The chord through the center spans t ∈ [-0.5, 0.5]; numerical safety.
-    t = t.clamp(-0.5, 0.5);
-    // Shorten the move so every channel stays inside [0, 1].
-    t = clamp_step_to_gamut(color.to_vec3(), direction, t);
-    LinearRgb::from_vec3(color.to_vec3() + direction * t)
-}
-
-/// Largest-magnitude step `t'` with `|t'| ≤ |t|` and the same sign such that
-/// `origin + direction · t'` stays inside the unit cube.
-fn clamp_step_to_gamut(origin: Vec3, direction: Vec3, t: f64) -> f64 {
-    if t == 0.0 {
-        return 0.0;
-    }
-    let mut limit = t.abs();
-    let sign = t.signum();
-    for i in 0..3 {
-        let d = direction.component(i) * sign;
-        if d.abs() <= f64::EPSILON {
-            continue;
-        }
-        let o = origin.component(i);
-        // Allowed movement along +d before hitting 0 or 1.
-        let room = if d > 0.0 {
-            (1.0 - o) / d
-        } else {
-            (0.0 - o) / d
-        };
-        if room < limit {
-            limit = room.max(0.0);
-        }
-    }
-    limit * sign
-}
-
-/// Per-axis SoA working buffers for the vectorized adjustment path.
+/// Per-axis SoA working buffers for the lane kernel.
 ///
 /// Each `Vec` is one contiguous lane the 8-wide kernels stream over: the
 /// per-pixel extrema direction components (`dir_*`), the low/high plane
-/// values the HL/LH reduction consumes, the candidate and best-so-far
-/// output pixel lanes, and a code lane for the Δ-bit costing. All buffers
-/// are cleared, never shrunk, so the steady state performs no allocation.
+/// values the HL/LH reduction consumes, and the candidate and best-so-far
+/// output pixel lanes. All buffers are cleared, never shrunk, so the steady
+/// state performs no allocation.
 #[derive(Debug, Clone, Default)]
 struct AdjustLanes {
     pixels: LinearTileLanes,
@@ -184,50 +69,72 @@ struct AdjustLanes {
     high: Vec<f64>,
     out: LinearTileLanes,
     best: LinearTileLanes,
-    codes: Vec<u8>,
 }
 
 impl AdjustLanes {
-    /// Refills the per-axis direction and plane-value lanes from the
-    /// scalar extrema.
-    fn fill_axis(&mut self, extrema: &[AxisExtrema]) {
-        self.dir_x.clear();
-        self.dir_y.clear();
-        self.dir_z.clear();
-        self.low.clear();
-        self.high.clear();
-        for ext in extrema {
-            let d = ext.extrema_vector();
-            self.dir_x.push(d.x);
-            self.dir_y.push(d.y);
-            self.dir_z.push(d.z);
-            self.low.push(ext.low_value());
-            self.high.push(ext.high_value());
+    /// Phase 1 (the Compute Extrema blocks of the CAU): writes every
+    /// ellipsoid's extrema vector and low/high plane values along `axis`
+    /// straight into the direction and plane-value lanes.
+    ///
+    /// `dkl_to_rgb` is fetched once per tile by the caller; each element is
+    /// computed by [`DiscriminationEllipsoid::extrema_along_axis_with`], the
+    /// same arithmetic as the per-ellipsoid `extrema_along_axis`.
+    fn fill_extrema(
+        &mut self,
+        ellipsoids: &[DiscriminationEllipsoid],
+        dkl_to_rgb: &Mat3,
+        axis: RgbAxis,
+    ) {
+        let n = ellipsoids.len();
+        for lane in [
+            &mut self.dir_x,
+            &mut self.dir_y,
+            &mut self.dir_z,
+            &mut self.low,
+            &mut self.high,
+        ] {
+            lane.clear();
+            lane.resize(n, 0.0);
+        }
+        let lanes = self
+            .dir_x
+            .iter_mut()
+            .zip(&mut self.dir_y)
+            .zip(&mut self.dir_z)
+            .zip(&mut self.low)
+            .zip(&mut self.high);
+        for (ellipsoid, ((((dx, dy), dz), low), high)) in ellipsoids.iter().zip(lanes) {
+            let extrema = ellipsoid.extrema_along_axis_with(dkl_to_rgb, axis);
+            let d = extrema.extrema_vector();
+            *dx = d.x;
+            *dy = d.y;
+            *dz = d.z;
+            *low = extrema.low_value();
+            *high = extrema.high_value();
         }
     }
 }
 
-/// [`delta_bit_cost`] computed over SoA lanes: each channel lane is
-/// quantized with the sRGB encode-LUT slice kernel and reduced with the
-/// chunked min/max. Bit-identical to the scalar walk because the
-/// per-element quantizer is the same function and integer min/max is
-/// order-independent.
-fn delta_bit_cost_lanes(lanes: &LinearTileLanes, codes: &mut Vec<u8>) -> u64 {
-    let n = lanes.len();
-    let mut total = 0u64;
-    for channel in 0..3 {
-        codes.clear();
-        codes.resize(n, 0);
-        linear_to_srgb8_slice(lanes.channel(channel), codes);
-        let (min, max) = min_max_u8(codes);
-        total += u64::from(bits_for_range(max - min)) * n as u64;
-    }
-    total
+/// Σ over channels of the per-Δ bit length × pixel count of a tile held in
+/// SoA lanes, measured after sRGB quantization.
+///
+/// Each channel's code range comes from its `f64` min and max, quantized
+/// once each ([`linear_to_srgb8_min_max`]): the quantizer is monotone, so
+/// this equals quantizing every value, as the scalar
+/// [`reference::delta_bit_cost`] does.
+fn delta_bit_cost_lanes(lanes: &LinearTileLanes) -> u64 {
+    let n = lanes.len() as u64;
+    (0..3)
+        .map(|channel| {
+            let (min, max) = linear_to_srgb8_min_max(lanes.channel(channel));
+            u64::from(bits_for_range(max - min)) * n
+        })
+        .sum()
 }
 
 /// The vectorized Phase 3 color shift: moves every pixel lane-wise toward
-/// its target plane with a branch-free compute-then-select form of
-/// [`move_along_extrema`].
+/// its target plane with a branch-free compute-then-select form of the
+/// scalar reference's per-pixel move.
 ///
 /// Every arithmetic operation matches the scalar path in value and order
 /// (clamp to the chord, then the three-channel gamut walk in RGB order with
@@ -307,9 +214,8 @@ fn lane_axis_adjust(
 }
 
 /// Reusable buffers for per-tile adjustment: the tile's gathered pixels
-/// and ellipsoids (filled by the caller) plus the per-axis working buffers
-/// (extrema, SoA lanes and the best-so-far pixel set) the adjustment
-/// cycles through internally.
+/// and ellipsoids (filled by the caller) plus the SoA lanes and the
+/// best-so-far pixel set the adjustment cycles through internally.
 ///
 /// One scratch serves an unbounded stream of tiles: every buffer is
 /// cleared, never shrunk, so after the first few tiles the hot loop of
@@ -321,9 +227,9 @@ fn lane_axis_adjust(
 pub struct AdjustScratch {
     /// The tile's pixels, gathered by the caller (row-major).
     pub pixels: Vec<LinearRgb>,
-    /// One discrimination ellipsoid per pixel, built by the caller.
+    /// One discrimination ellipsoid per pixel, built by the caller
+    /// (`DiscriminationModel::ellipsoids_into`).
     pub ellipsoids: Vec<DiscriminationEllipsoid>,
-    extrema: Vec<AxisExtrema>,
     lanes: AdjustLanes,
     best: Vec<LinearRgb>,
 }
@@ -338,13 +244,6 @@ impl AdjustScratch {
     /// [`adjust_tile_with`] call.
     pub fn best(&self) -> &[LinearRgb] {
         &self.best
-    }
-
-    /// Clears and refills `ellipsoids` with `f` applied to each gathered
-    /// pixel.
-    pub fn build_ellipsoids(&mut self, f: impl FnMut(LinearRgb) -> DiscriminationEllipsoid) {
-        self.ellipsoids.clear();
-        self.ellipsoids.extend(self.pixels.iter().copied().map(f));
     }
 }
 
@@ -367,106 +266,22 @@ pub struct TileAdjustOutcome {
     pub adjusted_cost: u64,
 }
 
-/// Adjusts one tile along a single axis, writing the adjusted pixels into
-/// a caller-provided buffer (cleared first) and returning the case and
-/// plane values. The scratch-path core shared by [`adjust_tile_along_axis`]
-/// and [`adjust_tile_with`].
-fn axis_adjust_into(
-    pixels: &[LinearRgb],
-    ellipsoids: &[DiscriminationEllipsoid],
-    axis: RgbAxis,
-    extrema: &mut Vec<AxisExtrema>,
-    out: &mut Vec<LinearRgb>,
-) -> (AdjustmentCase, f64, f64) {
-    assert_eq!(
-        pixels.len(),
-        ellipsoids.len(),
-        "one ellipsoid per pixel is required"
-    );
-    assert!(!pixels.is_empty(), "cannot adjust an empty tile");
-
-    // Phase 1: per-pixel extrema (the Compute Extrema blocks of the CAU).
-    extrema.clear();
-    extrema.extend(ellipsoids.iter().map(|e| e.extrema_along_axis(axis)));
-
-    // Phase 2: HL / LH reduction (the Compute Planes blocks).
-    let hl = extrema
-        .iter()
-        .map(AxisExtrema::low_value)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let lh = extrema
-        .iter()
-        .map(AxisExtrema::high_value)
-        .fold(f64::INFINITY, f64::min);
-
-    // Phase 3: color shifts (the Color Shift blocks).
-    out.clear();
-    let case = if hl <= lh {
-        // Case 2: collapse every color onto the average plane.
-        let plane = 0.5 * (hl + lh);
-        out.extend(
-            pixels
-                .iter()
-                .zip(extrema.iter())
-                .map(|(&p, ext)| move_along_extrema(p, ext, axis, plane)),
-        );
-        AdjustmentCase::CommonPlane
-    } else {
-        // Case 1: clamp the axis values into [LH, HL].
-        out.extend(pixels.iter().zip(extrema.iter()).map(|(&p, ext)| {
-            let value = p.channel(axis.index());
-            if value > hl {
-                move_along_extrema(p, ext, axis, hl)
-            } else if value < lh {
-                move_along_extrema(p, ext, axis, lh)
-            } else {
-                p
-            }
-        }));
-        AdjustmentCase::NoCommonPlane
-    };
-    (case, hl, lh)
-}
-
-/// Adjusts one tile along a single axis.
-///
-/// Allocates the result buffers per call; hot loops should prefer
-/// [`adjust_tile_with`] with a reused [`AdjustScratch`].
-///
-/// # Panics
-///
-/// Panics if `pixels` and `ellipsoids` have different lengths or are empty.
-pub fn adjust_tile_along_axis(
-    pixels: &[LinearRgb],
-    ellipsoids: &[DiscriminationEllipsoid],
-    axis: RgbAxis,
-) -> AxisAdjustment {
-    let mut extrema = Vec::new();
-    let mut adjusted = Vec::new();
-    let (case, hl, lh) = axis_adjust_into(pixels, ellipsoids, axis, &mut extrema, &mut adjusted);
-    AxisAdjustment {
-        axis,
-        case,
-        adjusted,
-        hl,
-        lh,
-    }
-}
-
 /// Adjusts the tile held in `scratch` (its `pixels` / `ellipsoids`
 /// buffers) by trying every candidate axis and keeping the attempt with
 /// the smallest Δ bit cost. The winning pixels land in
 /// [`AdjustScratch::best`]; only metadata is returned.
 ///
-/// This is the vectorized path: the tile is transposed into SoA lanes
-/// once, every axis attempt runs the lane kernels (`lane_axis_adjust`,
-/// `delta_bit_cost_lanes`, the chunked HL/LH reductions), and only the
-/// winning lanes are scattered back to AoS. Bit-identical to
-/// [`adjust_tile`] and to the scalar per-axis reference
-/// ([`adjust_tile_along_axis`]) on the same inputs — the lanes only change
-/// where intermediate values live and the order of order-independent
-/// reductions, never a single computed value. Ties between axes resolve to
-/// the first axis tried, matching `Iterator::min_by_key`.
+/// This is the lane kernel the encoder runs. The DKL→RGB matrix is
+/// fetched once per tile and the tile is transposed into SoA lanes once;
+/// every axis attempt then writes its extrema straight into lanes, reduces
+/// HL/LH with the chunked reductions, moves the pixels lane-wise
+/// (`lane_axis_adjust`) and costs the result from per-channel min/max
+/// (`delta_bit_cost_lanes`). Only the winning lanes are scattered back to
+/// AoS. Bit-identical to the scalar [`reference::adjust_tile`] on the same
+/// inputs — the lanes only change where intermediate values live and the
+/// order of order-independent reductions, never a single computed value.
+/// Ties between axes resolve to the first axis tried, matching
+/// `Iterator::min_by_key`.
 ///
 /// # Panics
 ///
@@ -480,7 +295,6 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     let AdjustScratch {
         pixels,
         ellipsoids,
-        extrema,
         lanes,
         best,
     } = scratch;
@@ -491,16 +305,14 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     );
     assert!(!pixels.is_empty(), "cannot adjust an empty tile");
 
-    // Gather the tile into SoA lanes once; every axis attempt reads them.
+    // Per-tile constants and the SoA transpose, once for every axis.
+    let dkl_to_rgb = dkl_to_rgb_matrix();
     lanes.pixels.fill_from_pixels(pixels);
-    let original_cost = delta_bit_cost_lanes(&lanes.pixels, &mut lanes.codes);
+    let original_cost = delta_bit_cost_lanes(&lanes.pixels);
     let mut chosen: Option<TileAdjustOutcome> = None;
     for &axis in axes {
-        // Phase 1: per-pixel extrema (the Compute Extrema blocks of the
-        // CAU), split into direction and plane-value lanes.
-        extrema.clear();
-        extrema.extend(ellipsoids.iter().map(|e| e.extrema_along_axis(axis)));
-        lanes.fill_axis(extrema);
+        // Phase 1: per-pixel extrema, straight into lanes.
+        lanes.fill_extrema(ellipsoids, &dkl_to_rgb, axis);
 
         // Phase 2: HL / LH reduction (the Compute Planes blocks). The
         // chunked reductions visit values in a different order than a
@@ -518,7 +330,7 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
             lh,
             &mut lanes.out,
         );
-        let adjusted_cost = delta_bit_cost_lanes(&lanes.out, &mut lanes.codes);
+        let adjusted_cost = delta_bit_cost_lanes(&lanes.out);
         // Strict `<` keeps the first minimal axis, like min_by_key.
         if chosen.map_or(true, |c| adjusted_cost < c.adjusted_cost) {
             std::mem::swap(&mut lanes.out, &mut lanes.best);
@@ -546,39 +358,9 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     outcome
 }
 
-/// Adjusts one tile by trying every candidate axis and keeping the attempt
-/// with the smallest Δ bit cost (Fig. 7: "pick the one with smaller Δ").
-///
-/// Allocates fresh buffers per call; hot loops should prefer
-/// [`adjust_tile_with`] with a reused [`AdjustScratch`].
-///
-/// # Panics
-///
-/// Panics if `axes` is empty, or if `pixels` and `ellipsoids` have different
-/// lengths or are empty.
-pub fn adjust_tile(
-    pixels: &[LinearRgb],
-    ellipsoids: &[DiscriminationEllipsoid],
-    axes: &[RgbAxis],
-) -> TileAdjustment {
-    let mut scratch = AdjustScratch::new();
-    scratch.pixels.extend_from_slice(pixels);
-    scratch.ellipsoids.extend_from_slice(ellipsoids);
-    let outcome = adjust_tile_with(&mut scratch, axes);
-    TileAdjustment {
-        chosen: AxisAdjustment {
-            axis: outcome.axis,
-            case: outcome.case,
-            adjusted: std::mem::take(&mut scratch.best),
-            hl: outcome.hl,
-            lh: outcome.lh,
-        },
-        original_cost: outcome.original_cost,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::reference::{adjust_tile, adjust_tile_along_axis, delta_bit_cost, AxisAdjustment};
     use super::*;
     use pvc_color::{DiscriminationModel, SyntheticDiscriminationModel};
 
@@ -731,7 +513,11 @@ mod tests {
             // The scratch arrives dirty from the previous tile on purpose.
             scratch.pixels.clear();
             scratch.pixels.extend_from_slice(&pixels);
-            scratch.build_ellipsoids(|p| SyntheticDiscriminationModel::default().ellipsoid(p, ecc));
+            SyntheticDiscriminationModel::default().ellipsoids_into(
+                &scratch.pixels,
+                ecc,
+                &mut scratch.ellipsoids,
+            );
             let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
             assert_eq!(scratch.best(), expected.adjusted_pixels());
             assert_eq!(outcome.axis, expected.chosen.axis);
@@ -751,7 +537,7 @@ mod tests {
         let model = SyntheticDiscriminationModel::default();
         let mut scratch = AdjustScratch::new();
         scratch.pixels.extend_from_slice(&pixels);
-        scratch.build_ellipsoids(|p| model.ellipsoid(p, 0.01));
+        model.ellipsoids_into(&scratch.pixels, 0.01, &mut scratch.ellipsoids);
         let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
         let ellipsoids = ellipsoids_for(&pixels, 0.01);
         let expected = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);

@@ -211,7 +211,8 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
     ) -> AdjustmentCase {
         frame.tile_pixels_into(tile, &mut scratch.pixels);
         let ecc = eccentricity.tile_eccentricity(tile);
-        scratch.build_ellipsoids(|p| self.model.ellipsoid(p, ecc));
+        self.model
+            .ellipsoids_into(&scratch.pixels, ecc, &mut scratch.ellipsoids);
         adjust_tile_with(scratch, &self.config.axes).case
     }
 

@@ -11,7 +11,8 @@
 //! The crate provides:
 //!
 //! * [`adjust`] — the per-tile analytical color adjustment (extrema, HL/LH
-//!   planes, case-1/case-2 moves of Fig. 6),
+//!   planes, case-1/case-2 moves of Fig. 6) as one lane kernel, with its
+//!   scalar oracles in [`adjust::reference`],
 //! * [`encoder`] — the full-frame [`PerceptualEncoder`] that combines the
 //!   gaze-dependent eccentricity map, the foveal bypass, the per-tile
 //!   adjustment along both candidate axes, and the existing BD back-end
@@ -60,10 +61,7 @@ pub mod solver;
 pub mod stats;
 
 pub use ablation::{run_ablation, AblationResult, AblationVariant};
-pub use adjust::{
-    adjust_tile, adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentCase,
-    AxisAdjustment, TileAdjustOutcome, TileAdjustment,
-};
+pub use adjust::{adjust_tile_with, AdjustScratch, AdjustmentCase, TileAdjustOutcome};
 pub use batch::{BatchCacheStats, BatchEncoder, DEFAULT_GAZE_CACHE_CAPACITY};
 pub use config::{EncoderConfig, TemporalConfig};
 pub use encoder::{

@@ -142,7 +142,7 @@ fn project(candidate: LinearRgb, ellipsoid: &DiscriminationEllipsoid) -> LinearR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjust::adjust_tile_along_axis;
+    use crate::adjust::reference::adjust_tile_along_axis;
     use pvc_color::{DiscriminationModel, SyntheticDiscriminationModel};
 
     fn tile_and_ellipsoids(ecc: f64) -> (Vec<LinearRgb>, Vec<DiscriminationEllipsoid>) {

@@ -7,15 +7,19 @@
 //! whose pixel count is not a multiple of the lane width (scalar remainder
 //! tail), single-pixel tiles, near-constant tiles (degenerate extrema spans,
 //! where the speculative lane divide produces garbage that the select must
-//! discard), and near-zero eccentricities (degenerate ellipsoids that leave
-//! no room to move, exercising the no-regress fallback).
+//! discard), near-zero eccentricities (degenerate ellipsoids that leave
+//! no room to move, exercising the no-regress fallback), channels sitting
+//! exactly on sRGB code thresholds (where the lane Δ cost, which quantizes
+//! only each channel's min and max, is most exposed) and channels on the
+//! gamut edges 0 and 1 (where the gamut clamp binds).
 
 use proptest::prelude::*;
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::{
     linear_to_srgb8, DiscriminationModel, LinearRgb, RgbAxis, SyntheticDiscriminationModel,
 };
-use pvc_core::{adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AxisAdjustment};
+use pvc_core::adjust::reference::{adjust_tile_along_axis, AxisAdjustment};
+use pvc_core::{adjust_tile_with, AdjustScratch};
 
 /// Independent scalar Δ bit cost: per-channel sRGB8 range via the scalar
 /// quantizer, never the lane kernels under test.
@@ -122,6 +126,71 @@ fn arb_smooth_tile() -> impl Strategy<Value = Vec<LinearRgb>> {
         })
 }
 
+/// Smallest `f64` in `(0, 1]` whose sRGB8 code is at least `code` (a code
+/// decision threshold), bisected on the bit pattern, which orders
+/// non-negative doubles numerically.
+fn code_threshold(code: u8) -> f64 {
+    let mut lo = 0.0f64.to_bits();
+    let mut hi = 1.0f64.to_bits();
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if linear_to_srgb8(f64::from_bits(mid)) >= code {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    f64::from_bits(hi)
+}
+
+/// A tile whose every channel sits exactly on a code threshold: one base
+/// code per channel plus a per-pixel step of 0–3 codes, so channel minima
+/// and maxima land on decision points.
+fn arb_threshold_tile() -> impl Strategy<Value = Vec<LinearRgb>> {
+    (
+        proptest::array::uniform3(1u8..=252),
+        proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 1..65),
+    )
+        .prop_map(|(base, steps)| {
+            steps
+                .into_iter()
+                .map(|(r, g, b)| {
+                    LinearRgb::new(
+                        code_threshold(base[0] + r),
+                        code_threshold(base[1] + g),
+                        code_threshold(base[2] + b),
+                    )
+                })
+                .collect()
+        })
+}
+
+/// One channel on or next to a gamut edge: exactly 0, exactly 1, or within
+/// 0.01 of either.
+fn arb_edge_channel() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0..=0.01f64).prop_map(|(edge, offset)| match edge {
+        0 => 0.0,
+        1 => 1.0,
+        2 => offset,
+        _ => 1.0 - offset,
+    })
+}
+
+/// A tile whose channels sit on the gamut edges, so the gamut clamp binds
+/// on every axis.
+fn arb_gamut_edge_tile() -> impl Strategy<Value = Vec<LinearRgb>> {
+    proptest::collection::vec(
+        (arb_edge_channel(), arb_edge_channel(), arb_edge_channel()),
+        1..65,
+    )
+    .prop_map(|channels| {
+        channels
+            .into_iter()
+            .map(|(r, g, b)| LinearRgb::new(r, g, b))
+            .collect()
+    })
+}
+
 proptest! {
     #[test]
     fn full_4x4_tiles_match(pixels in arb_full_tile(4), ecc in 0.5..40.0f64) {
@@ -145,6 +214,16 @@ proptest! {
 
     #[test]
     fn degenerate_ellipsoids_match(pixels in arb_clipped_tile(), ecc in 0.001..0.1f64) {
+        assert_lane_matches_scalar(&pixels, ecc);
+    }
+
+    #[test]
+    fn code_threshold_tiles_match(pixels in arb_threshold_tile(), ecc in 0.5..40.0f64) {
+        assert_lane_matches_scalar(&pixels, ecc);
+    }
+
+    #[test]
+    fn gamut_edge_tiles_match(pixels in arb_gamut_edge_tile(), ecc in 0.5..40.0f64) {
         assert_lane_matches_scalar(&pixels, ecc);
     }
 }

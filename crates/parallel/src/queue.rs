@@ -51,14 +51,22 @@ struct Counters {
 }
 
 impl Counters {
-    /// Called after `sent` was bumped: folds the post-send occupancy
-    /// snapshot into the high-water mark. Reading `received` first keeps
-    /// the snapshot conservative (never above the true occupancy).
-    fn note_depth(&self) {
+    /// Items currently sitting in the queue (sent but not yet received).
+    ///
+    /// A momentary snapshot: producers and consumers move it concurrently.
+    /// Reading `received` before `sent` (plus the saturating subtraction)
+    /// keeps the snapshot from ever going negative, even mid-handoff, and
+    /// never above the true occupancy.
+    fn depth(&self) -> u64 {
         let received = self.received.load(Ordering::Relaxed);
         let sent = self.sent.load(Ordering::Relaxed);
-        self.peak_depth
-            .fetch_max(sent.saturating_sub(received), Ordering::Relaxed);
+        sent.saturating_sub(received)
+    }
+
+    /// Called after `sent` was bumped: folds the post-send occupancy
+    /// snapshot into the high-water mark.
+    fn note_depth(&self) {
+        self.peak_depth.fetch_max(self.depth(), Ordering::Relaxed);
     }
 }
 
@@ -151,17 +159,6 @@ impl QueueStats {
         self.0.stalls.load(Ordering::Relaxed)
     }
 
-    /// Items currently sitting in the queue (sent but not yet received).
-    ///
-    /// A momentary snapshot: producers and consumers move it concurrently.
-    /// Reading `received` before `sent` (plus the saturating subtraction)
-    /// keeps the snapshot from ever going negative, even mid-handoff.
-    fn depth(&self) -> usize {
-        let received = self.0.received.load(Ordering::Relaxed);
-        let sent = self.0.sent.load(Ordering::Relaxed);
-        sent.saturating_sub(received) as usize
-    }
-
     /// Total items ever enqueued (monotonic).
     pub fn enqueued(&self) -> u64 {
         self.0.sent.load(Ordering::Relaxed)
@@ -172,16 +169,6 @@ impl QueueStats {
     /// spent time with its producer blocked on backpressure.
     pub fn peak_depth(&self) -> usize {
         self.0.peak_depth.load(Ordering::Relaxed) as usize
-    }
-
-    /// Resets the high-water mark to the *current* occupancy so a new
-    /// accounting epoch starts clean. Without this, a queue surviving a
-    /// drain/respawn cycle would leak the drained shard's peak into its
-    /// replacement's report.
-    pub fn reset_peak_depth(&self) {
-        self.0
-            .peak_depth
-            .store(self.depth() as u64, Ordering::Relaxed);
     }
 }
 
@@ -294,16 +281,16 @@ mod tests {
     #[test]
     fn depth_tracks_enqueued_items() {
         let (tx, rx, stats) = bounded_queue(4);
-        assert_eq!(stats.depth(), 0);
+        assert_eq!(stats.0.depth(), 0);
         tx.send(1u8).unwrap();
         tx.send(2u8).unwrap();
         tx.send(3u8).unwrap();
-        assert_eq!(stats.depth(), 3);
+        assert_eq!(stats.0.depth(), 3);
         assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(stats.depth(), 2);
+        assert_eq!(stats.0.depth(), 2);
         drop(tx);
         assert_eq!(rx.iter().count(), 2);
-        assert_eq!(stats.depth(), 0);
+        assert_eq!(stats.0.depth(), 0);
     }
 
     #[test]
@@ -324,28 +311,6 @@ mod tests {
         assert_eq!(stats.enqueued(), 4);
         drop(tx);
         assert_eq!(rx.iter().count(), 2);
-    }
-
-    #[test]
-    fn reset_peak_depth_starts_a_fresh_epoch() {
-        let (tx, rx, stats) = bounded_queue(4);
-        tx.send(1u8).unwrap();
-        tx.send(2u8).unwrap();
-        tx.send(3u8).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert_eq!(stats.peak_depth(), 3);
-        // Resetting snaps the mark down to the current occupancy (one
-        // item still enqueued), not to zero.
-        stats.reset_peak_depth();
-        assert_eq!(stats.peak_depth(), 1);
-        // The new epoch accumulates its own high-water mark.
-        tx.send(4u8).unwrap();
-        assert_eq!(stats.peak_depth(), 2);
-        drop(tx);
-        assert_eq!(rx.iter().count(), 2);
-        stats.reset_peak_depth();
-        assert_eq!(stats.peak_depth(), 0);
     }
 
     #[test]
@@ -376,7 +341,7 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), 1);
             assert_eq!(rx.recv().unwrap(), 2);
         });
-        assert_eq!(stats.depth(), 0);
+        assert_eq!(stats.0.depth(), 0);
     }
 
     #[test]

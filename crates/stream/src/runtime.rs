@@ -1917,10 +1917,6 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
     shard_report.queue_stalls = links.queue.stalls();
     shard_report.queue_enqueued = links.queue.enqueued();
     shard_report.queue_peak_depth = links.queue.peak_depth();
-    // The stats are captured; start a fresh peak epoch so nothing that
-    // reuses the queue's stats handle inherits this lifetime's high-water
-    // mark (a drained shard must not leak into its replacement's report).
-    links.queue.reset_peak_depth();
     links
         .events
         .send(RuntimeEvent::ShardDone(shard_report))
