@@ -144,16 +144,22 @@ impl BitWriter {
     /// Panics if `count > 32`.
     pub fn write_bits(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
+        // Fill the final byte's free bits from the top of the field, a
+        // byte-sized chunk at a time.
+        let mut remaining = count;
+        while remaining > 0 {
             if self.bit_pos == 0 {
                 self.bytes.push(0);
             }
+            let free = 8 - u32::from(self.bit_pos);
+            let take = free.min(remaining);
+            remaining -= take;
+            let chunk = (value >> remaining) & ((1 << take) - 1);
             let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
-            self.bits_written += 1;
+            *last |= (chunk << (free - take)) as u8;
+            self.bit_pos = ((u32::from(self.bit_pos) + take) % 8) as u8;
         }
+        self.bits_written += u64::from(count);
     }
 
     /// Total number of bits written so far.
@@ -223,12 +229,16 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining_bits(),
             });
         }
+        // Take the current byte's unread bits, a byte-sized chunk at a time.
         let mut value = 0u32;
-        for _ in 0..count {
-            let byte = self.bytes[(self.bit_index / 8) as usize];
-            let bit = (byte >> (7 - (self.bit_index % 8))) & 1;
-            value = (value << 1) | u32::from(bit);
-            self.bit_index += 1;
+        let mut remaining = count;
+        while remaining > 0 {
+            let byte = u32::from(self.bytes[(self.bit_index / 8) as usize]);
+            let unread = 8 - (self.bit_index % 8) as u32;
+            let take = unread.min(remaining);
+            value = (value << take) | ((byte >> (unread - take)) & ((1 << take) - 1));
+            self.bit_index += u64::from(take);
+            remaining -= take;
         }
         Ok(value)
     }
@@ -259,6 +269,41 @@ mod tests {
         for &(v, c) in &fields {
             let mask = if c == 32 { u32::MAX } else { (1u32 << c) - 1 };
             assert_eq!(r.read_bits(c).unwrap(), v & mask);
+        }
+    }
+
+    #[test]
+    fn fields_at_every_bit_offset_match_a_bit_at_a_time_packer() {
+        for offset in 0..8u32 {
+            for count in 0..=32u32 {
+                let value = 0xA5C3_F00Fu32.rotate_left(count + offset);
+                let mut w = BitWriter::new();
+                w.write_bits(u32::MAX, offset);
+                w.write_bits(value, count);
+                w.write_bits(0b101, 3);
+                // Reference: one bit per step, MSB first, zero-padded.
+                let bits: Vec<u32> = (0..offset)
+                    .map(|_| 1)
+                    .chain((0..count).rev().map(|i| (value >> i) & 1))
+                    .chain([1, 0, 1])
+                    .collect();
+                let mut expected = vec![0u8; bits.len().div_ceil(8)];
+                for (i, &bit) in bits.iter().enumerate() {
+                    expected[i / 8] |= (bit as u8) << (7 - i % 8);
+                }
+                assert_eq!(w.bits_written(), bits.len() as u64);
+                let bytes = w.finish();
+                assert_eq!(bytes, expected, "offset {offset} count {count}");
+                let mut r = BitReader::new(&bytes);
+                r.read_bits(offset).unwrap();
+                let mask = if count == 32 {
+                    u32::MAX
+                } else {
+                    (1 << count) - 1
+                };
+                assert_eq!(r.read_bits(count).unwrap(), value & mask);
+                assert_eq!(r.read_bits(3).unwrap(), 0b101);
+            }
         }
     }
 

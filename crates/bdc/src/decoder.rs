@@ -1,21 +1,21 @@
-//! Byte-level decoding of BD bitstreams with reusable scratch.
+//! Byte-level decoding of BD bitstreams with reusable scratch: the one
+//! parser of untrusted bytes in this crate.
 //!
-//! [`crate::BdEncodedFrame::from_bitstream`] materializes the full
-//! per-tile structure (a `Vec` of deltas per channel per tile) on every
-//! call. A streaming client only wants the pixels back, so [`BdDecoder`]
-//! parses the same bitstream layout and writes code values straight into a
-//! caller-owned [`SrgbFrame`] — once the frame's buffer has warmed up to
-//! the session's dimensions, the per-frame decode allocates nothing,
-//! mirroring the encoder's `encode_frame_into` discipline.
+//! [`BdDecoder`] writes code values straight into a caller-owned
+//! [`SrgbFrame`] — once the frame's buffer has warmed up to the session's
+//! dimensions, the per-frame decode allocates nothing, mirroring the
+//! encoder's `encode_frame_into` discipline. Intra frames and temporal
+//! records go through the same header validator and channel-record
+//! reader.
 //!
-//! Both decode entry points validate the header *before* allocating:
+//! Every decode entry point validates the header *before* allocating:
 //! untrusted input gets to spend memory only in proportion to the bytes it
 //! actually supplies (plus the configured [`BdDecoder::with_max_pixels`]
 //! frame budget).
 
 use crate::bitstream::{BitReader, BitstreamError};
 use crate::temporal::{apply_temporal_frame, is_temporal_bitstream, FrameKind};
-use crate::tile_codec::{BASE_BITS, METADATA_BITS};
+use crate::tile_codec::{read_header, read_tile};
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, TileGrid};
 
@@ -24,71 +24,6 @@ use pvc_frame::{Dimensions, SrgbFrame, TileGrid};
 /// crafted 65535×65535 header (~4.3 Gpx) is rejected before any
 /// allocation.
 pub const DEFAULT_MAX_PIXELS: u64 = 1 << 25;
-
-/// Validated bitstream header: dimensions plus tile size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FrameHeader {
-    pub dimensions: Dimensions,
-    pub tile_size: u32,
-}
-
-/// Reads and validates the 48-bit frame header.
-///
-/// Rejects zero dimensions/tile size, frames over `max_pixels`, and —
-/// crucially — headers whose declared tile grid cannot possibly be backed
-/// by the remaining input: every channel of every tile costs at least
-/// `BASE_BITS + METADATA_BITS` bits, so `tile_count × 3 × 12` bits is a
-/// hard lower bound on the payload. This bounds every later allocation to
-/// a small multiple of the input length.
-pub(crate) fn read_frame_header(
-    r: &mut BitReader<'_>,
-    max_pixels: u64,
-) -> Result<FrameHeader, BitstreamError> {
-    let width = r.read_bits(16)?;
-    let height = r.read_bits(16)?;
-    let tile_size = r.read_bits(16)?;
-    if width == 0 || height == 0 {
-        return Err(BitstreamError::InvalidHeader {
-            field: "dimensions",
-        });
-    }
-    if tile_size == 0 {
-        return Err(BitstreamError::InvalidHeader { field: "tile size" });
-    }
-    let pixels = u64::from(width) * u64::from(height);
-    if pixels > max_pixels {
-        return Err(BitstreamError::FrameTooLarge { pixels, max_pixels });
-    }
-    let tile_count = u64::from(width.div_ceil(tile_size)) * u64::from(height.div_ceil(tile_size));
-    let required_bits = tile_count * 3 * (BASE_BITS + METADATA_BITS);
-    if required_bits > r.remaining_bits() {
-        return Err(BitstreamError::InsufficientInput {
-            required_bits,
-            remaining_bits: r.remaining_bits(),
-        });
-    }
-    Ok(FrameHeader {
-        dimensions: Dimensions::new(width, height),
-        tile_size,
-    })
-}
-
-/// Checks that a channel's declared delta payload fits the remaining input
-/// before any of it is read (or, in `from_bitstream`, allocated).
-pub(crate) fn check_delta_payload(
-    r: &BitReader<'_>,
-    pixel_count: usize,
-    delta_bits: u8,
-) -> Result<(), BitstreamError> {
-    let required_bits = pixel_count as u64 * u64::from(delta_bits);
-    if required_bits > r.remaining_bits() {
-        return Err(BitstreamError::InsufficientInput {
-            required_bits,
-            remaining_bits: r.remaining_bits(),
-        });
-    }
-    Ok(())
-}
 
 /// A reusable byte-level BD decoder.
 ///
@@ -160,8 +95,8 @@ impl BdDecoder {
         self.max_pixels
     }
 
-    /// Decodes a bitstream produced by
-    /// [`crate::BdEncodedFrame::to_bitstream`] into a fresh frame.
+    /// Decodes an intra bitstream (as produced by
+    /// [`crate::BdEncoder::encode_frame_into`]) into a fresh frame.
     ///
     /// # Errors
     ///
@@ -257,35 +192,10 @@ fn decode_intra_into(
     out: &mut SrgbFrame,
 ) -> Result<(), BitstreamError> {
     let mut r = BitReader::new(bytes);
-    let header = read_frame_header(&mut r, max_pixels)?;
+    let header = read_header(&mut r, FrameKind::Key, max_pixels)?;
     out.reset(header.dimensions, Srgb8::default());
-    let grid = TileGrid::new(header.dimensions, header.tile_size);
-    let width = header.dimensions.width as usize;
-    let pixels = out.pixels_mut();
-    for tile in grid.tiles() {
-        for channel in 0..3u8 {
-            let base = r.read_bits(8)? as u8;
-            let delta_bits = r.read_bits(4)? as u8;
-            if delta_bits > 8 {
-                return Err(BitstreamError::InvalidHeader {
-                    field: "delta bit length",
-                });
-            }
-            check_delta_payload(&r, tile.pixel_count(), delta_bits)?;
-            for y in tile.y..tile.y + tile.height {
-                let row = y as usize * width;
-                for x in tile.x..tile.x + tile.width {
-                    let delta = r.read_bits(u32::from(delta_bits))? as u8;
-                    let value = base.wrapping_add(delta);
-                    let pixel = &mut pixels[row + x as usize];
-                    match channel {
-                        0 => pixel.r = value,
-                        1 => pixel.g = value,
-                        _ => pixel.b = value,
-                    }
-                }
-            }
-        }
+    for tile in TileGrid::new(header.dimensions, header.tile_size).tiles() {
+        read_tile(&mut r, tile, out, |_, code| code)?;
     }
     Ok(())
 }
@@ -293,7 +203,7 @@ fn decode_intra_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BdConfig, BdEncodedFrame, BdEncoder};
+    use crate::{BdConfig, BdEncoder};
     use rand::{Rng, SeedableRng};
 
     fn random_frame(width: u32, height: u32, seed: u64) -> SrgbFrame {
@@ -329,18 +239,6 @@ mod tests {
                 .expect("valid");
             assert_eq!(out, frame);
         }
-    }
-
-    #[test]
-    fn matches_the_materialized_decode_path() {
-        let frame = random_frame(21, 14, 3);
-        let encoded = BdEncoder::new(BdConfig::with_tile_size(4)).encode_frame(&frame);
-        let bytes = encoded.to_bitstream();
-        let via_struct = BdEncodedFrame::from_bitstream(&bytes)
-            .expect("valid")
-            .decode();
-        let via_decoder = BdDecoder::new().decode_bitstream(&bytes).expect("valid");
-        assert_eq!(via_decoder, via_struct);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Whole-frame Base+Delta encoding.
 
-use crate::bitstream::{BitReader, BitWriter, BitstreamError};
+use crate::bitstream::BitWriter;
+use crate::decoder::BdDecoder;
 use crate::stats::{CompressionStats, SizeBreakdown};
-use crate::tile_codec::{decode_tile, encode_tile, TileEncoding};
+use crate::temporal::FrameKind;
+use crate::tile_codec::{write_channel, write_header};
 use pvc_color::lanes::min_max_u8;
-use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid, DEFAULT_TILE_SIZE};
 
 /// Configuration of the Base+Delta frame encoder.
@@ -28,9 +29,14 @@ impl BdConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `tile_size` is zero.
+    /// Panics if `tile_size` is zero or exceeds `u16::MAX`, the largest
+    /// value the bitstream's 16-bit tile-size field holds.
     pub fn with_tile_size(tile_size: u32) -> Self {
         assert!(tile_size > 0, "tile size must be non-zero");
+        assert!(
+            tile_size <= u32::from(u16::MAX),
+            "tile size {tile_size} does not fit the 16-bit header field"
+        );
         BdConfig { tile_size }
     }
 }
@@ -66,9 +72,11 @@ impl BdEncoder {
         BdEncoder { config, threads: 1 }
     }
 
-    /// Returns a copy that encodes tiles on `threads` scoped worker threads
-    /// (1 = sequential). Tiles are independent and emitted in tile order,
-    /// so the encoded frame is bit-identical for every thread count.
+    /// Returns a copy that records `threads` as its worker-thread count.
+    ///
+    /// BD packing is serial whatever the count, so the encoded frame is
+    /// bit-identical for every value; the count is kept for callers that
+    /// configure every encode stage with one thread count.
     ///
     /// A thread count of 0 is normalized to 1 (sequential). This is the
     /// single normalization point for the knob: callers no longer need
@@ -83,107 +91,77 @@ impl BdEncoder {
         self.config
     }
 
-    /// The number of worker threads used for per-tile encoding.
+    /// The configured worker-thread count (BD packing itself is serial).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Encodes a frame tile by tile.
+    /// Encodes a frame into an owned [`BdEncodedFrame`]: the bytes
+    /// [`Self::encode_frame_into`] packs into a fresh writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame's width or height, or the tile size, exceeds
+    /// `u16::MAX` (the bitstream header stores each in 16 bits).
     pub fn encode_frame(&self, frame: &SrgbFrame) -> BdEncodedFrame {
-        let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
-        let tile_rects: Vec<_> = grid.tiles().collect();
-        // One tile-pixel gather buffer per worker, not one per tile.
-        let tiles: Vec<TileEncoding> = pvc_parallel::parallel_map_init(
-            &tile_rects,
-            self.threads,
-            Vec::new,
-            |gather: &mut Vec<Srgb8>, &tile| {
-                frame.tile_pixels_into(tile, gather);
-                encode_tile(gather)
-            },
-        );
+        let mut writer = BitWriter::new();
+        let stats = self.encode_frame_into(frame, &mut writer, &mut SrgbTileLanes::new());
         BdEncodedFrame {
             dimensions: frame.dimensions(),
             tile_size: self.config.tile_size,
-            tiles,
+            breakdown: stats.breakdown,
+            bytes: writer.finish(),
         }
     }
 
-    /// Stream-mode encode: packs the frame's complete bitstream —
-    /// bit-identical to `self.encode_frame(frame).to_bitstream()` —
-    /// directly into the caller-provided `writer` (cleared first), without
-    /// materializing a [`BdEncodedFrame`] or any per-tile vectors.
+    /// Stream-mode encode: packs the frame's complete bitstream directly
+    /// into the caller-provided `writer` (cleared first) and returns its
+    /// statistics.
     ///
     /// `gather` is the caller's reusable SoA tile gather; once both have
-    /// warmed up to the frame's tile size and bitstream length, the encode
-    /// performs no allocation at all. This is the per-frame hot path of a
-    /// streaming session, where the per-tile `TileEncoding` structure (a
-    /// `Vec` of deltas per channel per tile — hundreds of thousands of
-    /// heap round-trips per Vision-class frame) is pure overhead: the
-    /// session ships bytes, not tile structs.
+    /// warmed up to the frame's tile size and bitstream length, the
+    /// sequential encode performs no allocation at all. This is the
+    /// per-frame hot path of a streaming session.
     ///
     /// Each tile is gathered as three contiguous per-channel lanes, the
-    /// `(min, max)` range is reduced with the 8-wide lane kernel
-    /// ([`pvc_color::lanes::min_max_u8`] — bit-identical to the scalar
-    /// [`crate::tile_codec::channel_range`] walk since integer min/max is
-    /// order-independent), and only the bit packing itself stays serial.
+    /// `(min, max)` range of each lane is reduced with the 8-wide lane
+    /// kernel [`pvc_color::lanes::min_max_u8`], and the tile's channel
+    /// records are bit-packed.
     ///
-    /// With more than one worker thread, tile encodings are produced in
-    /// parallel first (bit packing is inherently sequential) and then
-    /// serialized; the bytes are identical, the allocation-free property
-    /// only holds for the sequential path.
+    /// # Panics
     ///
-    /// Returns the same statistics `encode_frame(frame).stats()` would.
+    /// Panics if the frame's width or height, or the tile size, exceeds
+    /// `u16::MAX` (the bitstream header stores each in 16 bits).
     pub fn encode_frame_into(
         &self,
         frame: &SrgbFrame,
         writer: &mut BitWriter,
         gather: &mut SrgbTileLanes,
     ) -> CompressionStats {
-        if self.threads > 1 {
-            let encoded = self.encode_frame(frame);
-            writer.clear();
-            encoded.write_bitstream(writer);
-            return encoded.stats();
-        }
-        let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
+        let dimensions = frame.dimensions();
+        let grid = TileGrid::new(dimensions, self.config.tile_size);
         writer.clear();
-        writer.write_bits(frame.dimensions().width, 16);
-        writer.write_bits(frame.dimensions().height, 16);
-        writer.write_bits(self.config.tile_size, 16);
+        write_header(writer, FrameKind::Key, dimensions, self.config.tile_size);
         let mut breakdown = SizeBreakdown::ZERO;
         for tile in grid.tiles() {
             frame.tile_lanes_into(tile, gather);
             for channel in 0..3 {
                 let lane = gather.channel(channel);
-                let (min, max) = min_max_u8(lane);
-                let delta_bits = crate::tile_codec::bits_for_range(max - min);
-                writer.write_bits(u32::from(min), crate::tile_codec::BASE_BITS as u32);
-                writer.write_bits(
-                    u32::from(delta_bits),
-                    crate::tile_codec::METADATA_BITS as u32,
-                );
-                for &v in lane {
-                    writer.write_bits(u32::from(v - min), u32::from(delta_bits));
-                }
-                breakdown += SizeBreakdown {
-                    base_bits: crate::tile_codec::BASE_BITS,
-                    metadata_bits: crate::tile_codec::METADATA_BITS,
-                    delta_bits: u64::from(delta_bits) * lane.len() as u64,
-                };
+                breakdown += write_channel(writer, lane, min_max_u8(lane));
             }
         }
-        CompressionStats::from_breakdown(frame.dimensions().pixel_count(), breakdown)
+        CompressionStats::from_breakdown(dimensions.pixel_count(), breakdown)
     }
 }
 
-/// A Base+Delta encoded frame: the per-tile encodings plus enough geometry
-/// to reconstruct the original frame.
+/// A Base+Delta encoded frame: the packed bitstream plus the geometry and
+/// the size split the encoder accounted while writing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BdEncodedFrame {
     dimensions: Dimensions,
     tile_size: u32,
-    tiles: Vec<TileEncoding>,
+    breakdown: SizeBreakdown,
+    bytes: Vec<u8>,
 }
 
 impl BdEncodedFrame {
@@ -197,124 +175,37 @@ impl BdEncodedFrame {
         self.tile_size
     }
 
-    /// The per-tile encodings in row-major tile order.
-    pub fn tiles(&self) -> &[TileEncoding] {
-        &self.tiles
-    }
-
-    /// Total compressed size, split by component.
+    /// Total compressed size, split by component (the 48-bit header is
+    /// not counted).
     pub fn size_breakdown(&self) -> SizeBreakdown {
-        self.tiles.iter().map(TileEncoding::size).sum()
+        self.breakdown
     }
 
     /// Overall compression statistics relative to the uncompressed frame.
     pub fn stats(&self) -> CompressionStats {
-        CompressionStats::from_breakdown(self.dimensions.pixel_count(), self.size_breakdown())
+        CompressionStats::from_breakdown(self.dimensions.pixel_count(), self.breakdown)
     }
 
-    /// Decodes back to the original frame (BD is numerically lossless).
+    /// Decodes back to the original frame (BD is numerically lossless)
+    /// through [`BdDecoder`].
     pub fn decode(&self) -> SrgbFrame {
-        let grid = TileGrid::new(self.dimensions, self.tile_size);
-        let mut frame = SrgbFrame::filled(self.dimensions, Srgb8::default());
-        for (tile_rect, tile) in grid.tiles().zip(&self.tiles) {
-            frame.write_tile(tile_rect, &decode_tile(tile));
-        }
-        frame
+        BdDecoder::new()
+            .with_max_pixels(u64::MAX)
+            .decode_bitstream(&self.bytes)
+            .expect("the encoder's own bitstream decodes")
     }
 
-    /// Serializes the encoded frame into a packed bitstream.
-    ///
-    /// Layout: a fixed header (width, height, tile size — 16 bits each),
-    /// followed by each tile's channels as `base (8) | delta_bits (4) |
-    /// deltas (delta_bits each)`.
+    /// The packed bitstream, in the layout documented on the crate root.
     pub fn to_bitstream(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        self.write_bitstream(&mut w);
-        w.finish()
-    }
-
-    /// Appends the frame's bitstream (header plus tiles, the layout of
-    /// [`Self::to_bitstream`]) to a caller-provided writer.
-    pub fn write_bitstream(&self, w: &mut BitWriter) {
-        w.write_bits(self.dimensions.width, 16);
-        w.write_bits(self.dimensions.height, 16);
-        w.write_bits(self.tile_size, 16);
-        for tile in &self.tiles {
-            for channel in &tile.channels {
-                w.write_bits(u32::from(channel.base), 8);
-                w.write_bits(u32::from(channel.delta_bits), 4);
-                for &d in &channel.deltas {
-                    w.write_bits(u32::from(d), u32::from(channel.delta_bits));
-                }
-            }
-        }
-    }
-
-    /// Parses a bitstream produced by [`Self::to_bitstream`].
-    ///
-    /// Header geometry is validated against the remaining input length
-    /// (and the [`crate::decoder::DEFAULT_MAX_PIXELS`] frame budget)
-    /// *before* any tile storage is allocated, so a crafted header cannot
-    /// make this allocate more than a small multiple of the input length.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BitstreamError`] if the stream is truncated, its header
-    /// is invalid, or the declared geometry cannot fit in the input.
-    pub fn from_bitstream(bytes: &[u8]) -> Result<Self, BitstreamError> {
-        let mut r = BitReader::new(bytes);
-        let header = crate::decoder::read_frame_header(&mut r, crate::decoder::DEFAULT_MAX_PIXELS)?;
-        let dimensions = header.dimensions;
-        let tile_size = header.tile_size;
-        let grid = TileGrid::new(dimensions, tile_size);
-        let mut tiles = Vec::with_capacity(grid.tile_count());
-        for tile_rect in grid.tiles() {
-            let pixel_count = tile_rect.pixel_count();
-            let channels = [(); 3].map(|_| ());
-            let mut decoded = Vec::with_capacity(3);
-            for _ in channels {
-                let base = r.read_bits(8).map(|v| v as u8);
-                let base = base?;
-                let delta_bits = r.read_bits(4)? as u8;
-                if delta_bits > 8 {
-                    return Err(BitstreamError::InvalidHeader {
-                        field: "delta bit length",
-                    });
-                }
-                // A `delta_bits = 0` channel would consume zero input bits
-                // while pushing `pixel_count` deltas; the header validation
-                // above bounds `pixel_count` via the frame budget, and this
-                // check bounds every non-flat channel by the actual input.
-                crate::decoder::check_delta_payload(&r, pixel_count, delta_bits)?;
-                let mut deltas = Vec::with_capacity(pixel_count);
-                for _ in 0..pixel_count {
-                    deltas.push(r.read_bits(u32::from(delta_bits))? as u8);
-                }
-                decoded.push(crate::tile_codec::ChannelEncoding {
-                    base,
-                    delta_bits,
-                    deltas,
-                });
-            }
-            let b = decoded.pop().expect("three channels");
-            let g = decoded.pop().expect("three channels");
-            let rr = decoded.pop().expect("three channels");
-            tiles.push(TileEncoding {
-                channels: [rr, g, b],
-                pixel_count,
-            });
-        }
-        Ok(BdEncodedFrame {
-            dimensions,
-            tile_size,
-            tiles,
-        })
+        self.bytes.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitstreamError;
+    use pvc_color::Srgb8;
     use rand::{Rng, SeedableRng};
 
     fn random_frame(width: u32, height: u32, seed: u64) -> SrgbFrame {
@@ -382,11 +273,11 @@ mod tests {
     #[test]
     fn bitstream_roundtrip() {
         let frame = random_frame(24, 16, 5);
-        let encoded = BdEncoder::new(BdConfig::default()).encode_frame(&frame);
-        let bytes = encoded.to_bitstream();
-        let parsed = BdEncodedFrame::from_bitstream(&bytes).expect("valid stream");
-        assert_eq!(parsed, encoded);
-        assert_eq!(parsed.decode(), frame);
+        let bytes = BdEncoder::new(BdConfig::default())
+            .encode_frame(&frame)
+            .to_bitstream();
+        let decoded = BdDecoder::new().decode_bitstream(&bytes).expect("valid");
+        assert_eq!(decoded, frame);
     }
 
     #[test]
@@ -401,9 +292,12 @@ mod tests {
     #[test]
     fn truncated_bitstream_is_rejected() {
         let frame = random_frame(16, 16, 9);
-        let encoded = BdEncoder::new(BdConfig::default()).encode_frame(&frame);
-        let bytes = encoded.to_bitstream();
-        let err = BdEncodedFrame::from_bitstream(&bytes[..bytes.len() / 2]).unwrap_err();
+        let bytes = BdEncoder::new(BdConfig::default())
+            .encode_frame(&frame)
+            .to_bitstream();
+        let err = BdDecoder::new()
+            .decode_bitstream(&bytes[..bytes.len() / 2])
+            .unwrap_err();
         assert!(matches!(
             err,
             BitstreamError::UnexpectedEnd { .. } | BitstreamError::InsufficientInput { .. }
@@ -412,7 +306,21 @@ mod tests {
 
     #[test]
     fn empty_bitstream_is_rejected() {
-        assert!(BdEncodedFrame::from_bitstream(&[]).is_err());
+        assert!(BdDecoder::new().decode_bitstream(&[]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit header fields")]
+    fn geometry_beyond_the_16_bit_header_panics_instead_of_truncating() {
+        // 65540 would be written as 65540 mod 2^16 = 4: a 4x4 frame.
+        let frame = SrgbFrame::filled(Dimensions::new(65_540, 4), Srgb8::new(1, 2, 3));
+        let _ = BdEncoder::default().encode_frame(&frame);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit header field")]
+    fn tile_size_beyond_the_16_bit_header_is_rejected() {
+        let _ = BdConfig::with_tile_size(u32::from(u16::MAX) + 1);
     }
 
     #[test]
@@ -454,29 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_frame_into_matches_the_materialized_path() {
-        let frames = [
-            random_frame(24, 16, 5),
-            smooth_frame(61, 47),
-            random_frame(13, 9, 21),
-        ];
-        let mut writer = crate::BitWriter::new();
-        let mut gather = SrgbTileLanes::new();
-        for frame in &frames {
-            for tile_size in [4, 7] {
-                let encoder = BdEncoder::new(BdConfig::with_tile_size(tile_size));
-                let encoded = encoder.encode_frame(frame);
-                let stats = encoder.encode_frame_into(frame, &mut writer, &mut gather);
-                assert_eq!(writer.as_bytes(), encoded.to_bitstream().as_slice());
-                assert_eq!(stats, encoded.stats());
-            }
-        }
-    }
-
-    #[test]
     fn encode_frame_into_is_thread_count_invariant() {
         let frame = random_frame(40, 28, 77);
-        let mut writer = crate::BitWriter::new();
+        let mut writer = BitWriter::new();
         let mut gather = SrgbTileLanes::new();
         let sequential_stats =
             BdEncoder::new(BdConfig::default()).encode_frame_into(&frame, &mut writer, &mut gather);

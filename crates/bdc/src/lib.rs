@@ -11,13 +11,37 @@
 //! al.), both as the state-of-the-art baseline and as the numerically
 //! lossless back-end that the perceptual color adjustment feeds into:
 //!
-//! * [`encode_tile`] / [`decode_tile`] — the per-tile, per-channel codec,
-//! * [`BdEncoder`] — whole-frame encoding with per-tile size accounting
-//!   (base vs. metadata vs. delta bits, the split of Fig. 11),
-//! * [`bitstream`] — an actual serialized bitstream with round-trip decode,
-//!   so compressed sizes are measured on real bits rather than estimated.
+//! * [`BdEncoder`] — whole-frame encoding into a packed bitstream, with
+//!   exact size accounting (base vs. metadata vs. delta bits, the split of
+//!   Fig. 11), so compressed sizes are measured on real bits rather than
+//!   estimated,
+//! * [`BdDecoder`] — the one parser of (possibly untrusted) bitstreams,
+//!   for intra frames and for the [`temporal`] Skip/Delta/Intra records,
+//! * [`tile_codec`] — the header and channel records both of them share:
+//!   each is written in one place and parsed in one place.
 //!
 //! The codec is numerically lossless: `decode(encode(frame)) == frame`.
+//!
+//! # Bitstream layout
+//!
+//! An intra frame is a 48-bit header followed by one record per tile.
+//! Every field is packed most-significant bit first and the final byte is
+//! zero-padded:
+//!
+//! ```text
+//! width(16) | height(16) | tile_size(16)
+//! per tile, row-major grid order (edge tiles clipped to the frame),
+//!   per channel R, G, B:
+//!     base(8) | delta_bits(4) | deltas (delta_bits each)
+//! ```
+//!
+//! `base` is the channel's minimum code value over the tile,
+//! `delta_bits` is [`tile_codec::bits_for_range`]`(max − min)` (0–8),
+//! and the deltas are `value − base` for the tile's pixels in row-major
+//! order; a flat channel (`delta_bits = 0`) carries no deltas. Width,
+//! height and tile size must each fit in 16 bits, and the encoders panic
+//! rather than truncate them. Predicted frames open with a zero 16-bit
+//! marker and are laid out in [`temporal`].
 //!
 //! # Examples
 //!
@@ -51,4 +75,3 @@ pub use stats::{CompressionStats, SizeBreakdown};
 pub use temporal::{
     encode_temporal_frame_into, is_temporal_bitstream, FrameKind, TemporalFrameStats,
 };
-pub use tile_codec::{channel_range, decode_tile, encode_tile, ChannelEncoding, TileEncoding};

@@ -41,11 +41,11 @@
 //! thread-invariant by construction.
 
 use crate::bitstream::{BitReader, BitWriter, BitstreamError};
-use crate::decoder::check_delta_payload;
 use crate::stats::{CompressionStats, SizeBreakdown};
-use crate::tile_codec::{bits_for_range, BASE_BITS, METADATA_BITS};
-use pvc_color::lanes::min_max_u8;
-use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid};
+use crate::tile_codec::{
+    read_header, read_tile, tile_ranges, tile_record_size, write_channel, write_header,
+};
+use pvc_frame::{SrgbFrame, SrgbTileLanes, TileGrid};
 
 /// Bits spent on the per-tile mode selector.
 pub(crate) const MODE_BITS: u64 = 2;
@@ -111,13 +111,6 @@ fn unzigzag(code: u8) -> u8 {
     (code >> 1) ^ (code & 1).wrapping_neg()
 }
 
-/// Exact bit cost of one BD channel record covering `pixels` samples with
-/// the given value range.
-#[inline]
-fn channel_cost(range: u8, pixels: u64) -> u64 {
-    BASE_BITS + METADATA_BITS + u64::from(bits_for_range(range)) * pixels
-}
-
 /// Encodes `frame` as a predicted frame against `reference`.
 ///
 /// `gather` and `reference_gather` are caller-owned SoA scratch, recycled
@@ -134,7 +127,8 @@ fn channel_cost(range: u8, pixels: u64) -> u64 {
 ///
 /// Panics if `frame` and `reference` dimensions differ — the caller owns
 /// the keyframe policy and must emit an intra frame on any dimension
-/// change.
+/// change — or if the frame's width or height, or `tile_size`, exceeds
+/// `u16::MAX` (the header stores each in 16 bits).
 pub fn encode_temporal_frame_into(
     tile_size: u32,
     frame: &SrgbFrame,
@@ -151,10 +145,7 @@ pub fn encode_temporal_frame_into(
     let dims = frame.dimensions();
     let grid = TileGrid::new(dims, tile_size);
     writer.clear();
-    writer.write_bits(0, 16);
-    writer.write_bits(dims.width, 16);
-    writer.write_bits(dims.height, 16);
-    writer.write_bits(tile_size, 16);
+    write_header(writer, FrameKind::Predicted, dims, tile_size);
 
     let mut stats = TemporalFrameStats {
         keyframe: false,
@@ -165,22 +156,17 @@ pub fn encode_temporal_frame_into(
     for tile in grid.tiles() {
         frame.tile_lanes_into(tile, gather);
         reference.tile_lanes_into(tile, reference_gather);
-        let pixels = gather.len() as u64;
+        let pixels = gather.len();
 
         // The intra baseline is accounted for every tile, including the
         // ones that end up skipped, so `intra_bits` is exactly what an
         // intra-only frame would have cost.
-        let mut intra_cost = MODE_BITS;
-        let mut intra_ranges = [(0u8, 0u8); 3];
-        for (channel, ranges) in intra_ranges.iter_mut().enumerate() {
-            let (min, max) = min_max_u8(gather.channel(channel));
-            *ranges = (min, max);
-            intra_cost += channel_cost(max - min, pixels);
-        }
+        let intra_ranges = tile_ranges(gather);
+        let intra_cost = MODE_BITS + tile_record_size(&intra_ranges, pixels).total_bits();
         stats.intra_bits += intra_cost - MODE_BITS;
 
         if gather == reference_gather {
-            writer.write_bits(MODE_SKIP, 2);
+            writer.write_bits(MODE_SKIP, MODE_BITS as u32);
             breakdown.metadata_bits += MODE_BITS;
             stats.skip_tiles += 1;
             continue;
@@ -199,13 +185,8 @@ pub fn encode_temporal_frame_into(
                 *p = zigzag(c.wrapping_sub(*p));
             }
         }
-        let mut delta_cost = MODE_BITS;
-        let mut delta_ranges = [(0u8, 0u8); 3];
-        for (channel, ranges) in delta_ranges.iter_mut().enumerate() {
-            let (min, max) = min_max_u8(reference_gather.channel(channel));
-            *ranges = (min, max);
-            delta_cost += channel_cost(max - min, pixels);
-        }
+        let delta_ranges = tile_ranges(reference_gather);
+        let delta_cost = MODE_BITS + tile_record_size(&delta_ranges, pixels).total_bits();
 
         let (mode, source, ranges) = if delta_cost < intra_cost {
             stats.delta_tiles += 1;
@@ -214,20 +195,10 @@ pub fn encode_temporal_frame_into(
             stats.intra_tiles += 1;
             (MODE_INTRA, &*gather, intra_ranges)
         };
-        writer.write_bits(mode, 2);
+        writer.write_bits(mode, MODE_BITS as u32);
         breakdown.metadata_bits += MODE_BITS;
-        for (channel, &(min, max)) in ranges.iter().enumerate() {
-            let delta_bits = bits_for_range(max - min);
-            writer.write_bits(u32::from(min), BASE_BITS as u32);
-            writer.write_bits(u32::from(delta_bits), METADATA_BITS as u32);
-            for &v in source.channel(channel) {
-                writer.write_bits(u32::from(v - min), u32::from(delta_bits));
-            }
-            breakdown += SizeBreakdown {
-                base_bits: BASE_BITS,
-                metadata_bits: METADATA_BITS,
-                delta_bits: u64::from(delta_bits) * pixels,
-            };
+        for (channel, &range) in ranges.iter().enumerate() {
+            breakdown += write_channel(writer, source.channel(channel), range);
         }
     }
     stats.bits = writer.bits_written();
@@ -235,57 +206,6 @@ pub fn encode_temporal_frame_into(
         stats,
         CompressionStats::from_breakdown(dims.pixel_count(), breakdown),
     )
-}
-
-/// Validated temporal frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TemporalHeader {
-    pub dimensions: Dimensions,
-    pub tile_size: u32,
-}
-
-/// Reads and validates the 64-bit temporal header, mirroring the intra
-/// header's safety ladder: zero dimensions/tile size are rejected, frames
-/// over `max_pixels` are rejected, and the declared tile grid must fit the
-/// remaining input (every tile costs at least [`MODE_BITS`]) — all before
-/// any allocation.
-pub(crate) fn read_temporal_header(
-    r: &mut BitReader<'_>,
-    max_pixels: u64,
-) -> Result<TemporalHeader, BitstreamError> {
-    let marker = r.read_bits(16)?;
-    if marker != 0 {
-        return Err(BitstreamError::InvalidHeader {
-            field: "temporal marker",
-        });
-    }
-    let width = r.read_bits(16)?;
-    let height = r.read_bits(16)?;
-    let tile_size = r.read_bits(16)?;
-    if width == 0 || height == 0 {
-        return Err(BitstreamError::InvalidHeader {
-            field: "dimensions",
-        });
-    }
-    if tile_size == 0 {
-        return Err(BitstreamError::InvalidHeader { field: "tile size" });
-    }
-    let pixels = u64::from(width) * u64::from(height);
-    if pixels > max_pixels {
-        return Err(BitstreamError::FrameTooLarge { pixels, max_pixels });
-    }
-    let tile_count = u64::from(width.div_ceil(tile_size)) * u64::from(height.div_ceil(tile_size));
-    let required_bits = tile_count * MODE_BITS;
-    if required_bits > r.remaining_bits() {
-        return Err(BitstreamError::InsufficientInput {
-            required_bits,
-            remaining_bits: r.remaining_bits(),
-        });
-    }
-    Ok(TemporalHeader {
-        dimensions: Dimensions::new(width, height),
-        tile_size,
-    })
 }
 
 /// Applies a predicted frame to `reference` in place.
@@ -302,7 +222,7 @@ pub(crate) fn apply_temporal_frame(
     reference_valid: bool,
 ) -> Result<(), BitstreamError> {
     let mut r = BitReader::new(bytes);
-    let header = read_temporal_header(&mut r, max_pixels)?;
+    let header = read_header(&mut r, FrameKind::Predicted, max_pixels)?;
     if !reference_valid {
         return Err(BitstreamError::MissingReference);
     }
@@ -314,44 +234,14 @@ pub(crate) fn apply_temporal_frame(
             ref_height: reference.dimensions().height,
         });
     }
-    let grid = TileGrid::new(header.dimensions, header.tile_size);
-    let width = header.dimensions.width as usize;
-    let pixels = reference.pixels_mut();
-    for tile in grid.tiles() {
-        let mode = r.read_bits(2)?;
-        if mode == MODE_SKIP {
-            continue;
-        }
-        if mode != MODE_DELTA && mode != MODE_INTRA {
-            return Err(BitstreamError::InvalidHeader { field: "tile mode" });
-        }
-        for channel in 0..3u8 {
-            let base = r.read_bits(8)? as u8;
-            let delta_bits = r.read_bits(4)? as u8;
-            if delta_bits > 8 {
-                return Err(BitstreamError::InvalidHeader {
-                    field: "delta bit length",
-                });
-            }
-            check_delta_payload(&r, tile.pixel_count(), delta_bits)?;
-            for y in tile.y..tile.y + tile.height {
-                let row = y as usize * width;
-                for x in tile.x..tile.x + tile.width {
-                    let delta = r.read_bits(u32::from(delta_bits))? as u8;
-                    let code = base.wrapping_add(delta);
-                    let pixel = &mut pixels[row + x as usize];
-                    let slot = match channel {
-                        0 => &mut pixel.r,
-                        1 => &mut pixel.g,
-                        _ => &mut pixel.b,
-                    };
-                    *slot = if mode == MODE_DELTA {
-                        slot.wrapping_add(unzigzag(code))
-                    } else {
-                        code
-                    };
-                }
-            }
+    for tile in TileGrid::new(header.dimensions, header.tile_size).tiles() {
+        match r.read_bits(MODE_BITS as u32)? {
+            MODE_SKIP => {}
+            MODE_DELTA => read_tile(&mut r, tile, reference, |prev, code| {
+                prev.wrapping_add(unzigzag(code))
+            })?,
+            MODE_INTRA => read_tile(&mut r, tile, reference, |_, code| code)?,
+            _ => return Err(BitstreamError::InvalidHeader { field: "tile mode" }),
         }
     }
     Ok(())
@@ -361,6 +251,7 @@ pub(crate) fn apply_temporal_frame(
 mod tests {
     use super::*;
     use pvc_color::Srgb8;
+    use pvc_frame::Dimensions;
     use rand::{Rng, SeedableRng};
 
     fn random_frame(width: u32, height: u32, seed: u64) -> SrgbFrame {
@@ -481,6 +372,14 @@ mod tests {
             apply_temporal_frame(&w.finish(), DEFAULT_MAX_PIXELS_FOR_TEST, &mut out, true),
             Err(BitstreamError::InsufficientInput { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit header fields")]
+    fn geometry_beyond_the_16_bit_header_panics_instead_of_truncating() {
+        // 65540 would be written as 65540 mod 2^16 = 4: a 4x4 frame.
+        let frame = SrgbFrame::filled(Dimensions::new(65_540, 4), Srgb8::new(1, 2, 3));
+        let _ = encode(4, &frame, &frame);
     }
 
     const DEFAULT_MAX_PIXELS_FOR_TEST: u64 = crate::decoder::DEFAULT_MAX_PIXELS;

@@ -1,9 +1,17 @@
-//! The per-tile, per-channel Base+Delta codec.
+//! The Base+Delta bitstream records: the frame header and the per-channel
+//! tile record, each written in one place and parsed in one place.
+//!
+//! The intra encoder ([`crate::BdEncoder`]) and the temporal encoder
+//! ([`crate::encode_temporal_frame_into`]) share the header and record
+//! writers; [`crate::BdDecoder`]'s intra decode and temporal apply share
+//! the header validator and the record reader. The layout itself is
+//! documented on the crate root and in [`crate::temporal`].
 
+use crate::bitstream::{BitReader, BitWriter, BitstreamError};
 use crate::stats::SizeBreakdown;
+use crate::temporal::{FrameKind, MODE_BITS};
 use pvc_color::lanes::min_max_u8;
-use pvc_color::Srgb8;
-use pvc_frame::SrgbTileLanes;
+use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileRect};
 
 /// Number of bits used to store a base value (one 8-bit sRGB code value).
 pub const BASE_BITS: u64 = 8;
@@ -26,130 +34,215 @@ pub fn bits_for_range(range: u8) -> u8 {
     }
 }
 
-/// The Base+Delta encoding of one color channel of one tile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelEncoding {
-    /// The base value (the minimum code value of the tile).
-    pub base: u8,
-    /// Bit length shared by every Δ of the tile.
-    pub delta_bits: u8,
-    /// Per-pixel offsets from the base, in tile row-major order.
-    pub deltas: Vec<u8>,
+/// The first 16 bits of a predicted frame. An intra frame starts with its
+/// width, which a valid header never sets to zero.
+const TEMPORAL_MARKER: u32 = 0;
+
+/// Per-channel `(min, max)` code values of one tile, in `(R, G, B)` order.
+pub(crate) type TileRanges = [(u8, u8); 3];
+
+/// Validated frame header geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameHeader {
+    pub dimensions: Dimensions,
+    pub tile_size: u32,
 }
 
-impl ChannelEncoding {
-    /// Size of this channel encoding.
-    pub fn size(&self) -> SizeBreakdown {
-        SizeBreakdown {
+/// Reduces each lane of a gathered tile to its `(min, max)` code values.
+#[inline]
+pub(crate) fn tile_ranges(lanes: &SrgbTileLanes) -> TileRanges {
+    std::array::from_fn(|channel| min_max_u8(lanes.channel(channel)))
+}
+
+/// Exact size of a tile's three channel records over `pixels` samples.
+#[inline]
+pub(crate) fn tile_record_size(ranges: &TileRanges, pixels: usize) -> SizeBreakdown {
+    ranges
+        .iter()
+        .map(|&(min, max)| SizeBreakdown {
             base_bits: BASE_BITS,
             metadata_bits: METADATA_BITS,
-            delta_bits: self.delta_bits as u64 * self.deltas.len() as u64,
-        }
-    }
-
-    /// Reconstructs the original code values.
-    pub fn decode(&self) -> Vec<u8> {
-        self.deltas
-            .iter()
-            .map(|&d| self.base.wrapping_add(d))
-            .collect()
-    }
+            delta_bits: u64::from(bits_for_range(max - min)) * pixels as u64,
+        })
+        .sum()
 }
 
-/// The Base+Delta encoding of one pixel tile (all three channels).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileEncoding {
-    /// Per-channel encodings in `(R, G, B)` order.
-    pub channels: [ChannelEncoding; 3],
-    /// Number of pixels in the tile.
-    pub pixel_count: usize,
-}
-
-impl TileEncoding {
-    /// Size of the encoded tile.
-    pub fn size(&self) -> SizeBreakdown {
-        self.channels.iter().map(ChannelEncoding::size).sum()
-    }
-
-    /// The largest per-channel delta bit length of the tile; a proxy for how
-    /// compressible the tile is.
-    pub fn max_delta_bits(&self) -> u8 {
-        self.channels
-            .iter()
-            .map(|c| c.delta_bits)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Encodes one tile of sRGB pixels with the Base+Delta scheme.
-///
-/// The base of each channel is the minimum code value of the tile, so every
-/// Δ is non-negative; the shared Δ bit-length is the number of bits needed
-/// for the largest offset (`max − min`), exactly the quantity the
-/// perceptual color adjustment tries to minimize.
+/// Writes the frame header: the temporal marker for a predicted frame,
+/// then `width(16) | height(16) | tile_size(16)`.
 ///
 /// # Panics
 ///
-/// Panics if `pixels` is empty.
-pub fn encode_tile(pixels: &[Srgb8]) -> TileEncoding {
-    assert!(!pixels.is_empty(), "cannot encode an empty tile");
-    // SoA: transpose once, then compute each channel's range and deltas over
-    // a contiguous lane so the min/max reduction and the delta subtraction
-    // vectorize. Integer min/max is order-independent, so the result is
-    // bit-identical to the scalar [`channel_range`] walk.
-    let mut lanes = SrgbTileLanes::new();
-    lanes.fill_from_pixels(pixels);
-    let channels = std::array::from_fn(|c| {
-        let lane = lanes.channel(c);
-        let (min, max) = min_max_u8(lane);
-        ChannelEncoding {
-            base: min,
-            delta_bits: bits_for_range(max - min),
-            deltas: lane.iter().map(|&v| v - min).collect(),
+/// Panics if the width, height or tile size exceeds `u16::MAX`: its
+/// 16-bit field would keep only the low bits and describe another frame.
+pub(crate) fn write_header(
+    w: &mut BitWriter,
+    kind: FrameKind,
+    dimensions: Dimensions,
+    tile_size: u32,
+) {
+    let max = u32::from(u16::MAX);
+    assert!(
+        dimensions.width <= max && dimensions.height <= max && tile_size <= max,
+        "a {}x{} frame at tile size {tile_size} does not fit the 16-bit header fields",
+        dimensions.width,
+        dimensions.height
+    );
+    if kind == FrameKind::Predicted {
+        w.write_bits(TEMPORAL_MARKER, 16);
+    }
+    w.write_bits(dimensions.width, 16);
+    w.write_bits(dimensions.height, 16);
+    w.write_bits(tile_size, 16);
+}
+
+/// Reads and validates a frame header of the given kind.
+///
+/// Rejects a missing temporal marker, zero dimensions or tile size, frames
+/// over `max_pixels`, and — crucially — headers whose declared tile grid
+/// cannot be backed by the remaining input. Every tile costs at least a
+/// floor: its three channel records' base and metadata fields
+/// (`3 × 12 = 36` bits) in an intra frame, its [`MODE_BITS`] mode in a
+/// predicted one. This bounds every later allocation to a small multiple
+/// of the input length.
+pub(crate) fn read_header(
+    r: &mut BitReader<'_>,
+    kind: FrameKind,
+    max_pixels: u64,
+) -> Result<FrameHeader, BitstreamError> {
+    let min_tile_bits = match kind {
+        FrameKind::Key => 3 * (BASE_BITS + METADATA_BITS),
+        FrameKind::Predicted => {
+            if r.read_bits(16)? != TEMPORAL_MARKER {
+                return Err(BitstreamError::InvalidHeader {
+                    field: "temporal marker",
+                });
+            }
+            MODE_BITS
         }
-    });
-    TileEncoding {
-        channels,
-        pixel_count: pixels.len(),
+    };
+    let width = r.read_bits(16)?;
+    let height = r.read_bits(16)?;
+    let tile_size = r.read_bits(16)?;
+    if width == 0 || height == 0 {
+        return Err(BitstreamError::InvalidHeader {
+            field: "dimensions",
+        });
+    }
+    if tile_size == 0 {
+        return Err(BitstreamError::InvalidHeader { field: "tile size" });
+    }
+    let pixels = u64::from(width) * u64::from(height);
+    if pixels > max_pixels {
+        return Err(BitstreamError::FrameTooLarge { pixels, max_pixels });
+    }
+    let tile_count = u64::from(width.div_ceil(tile_size)) * u64::from(height.div_ceil(tile_size));
+    check_remaining(r, tile_count * min_tile_bits)?;
+    Ok(FrameHeader {
+        dimensions: Dimensions::new(width, height),
+        tile_size,
+    })
+}
+
+/// Writes one channel record, `base(8) | delta_bits(4) | deltas
+/// (delta_bits each)`, with `min` as the base, and returns its size.
+///
+/// Always inlined: left as a call inside the callers' tile loops, the
+/// serial BD encode of a 128×128 frame measured 20–30% slower (2-core
+/// x86-64 VM).
+#[inline(always)]
+pub(crate) fn write_channel(w: &mut BitWriter, lane: &[u8], (min, max): (u8, u8)) -> SizeBreakdown {
+    let delta_bits = bits_for_range(max - min);
+    w.write_bits(u32::from(min), BASE_BITS as u32);
+    w.write_bits(u32::from(delta_bits), METADATA_BITS as u32);
+    for &v in lane {
+        w.write_bits(u32::from(v - min), u32::from(delta_bits));
+    }
+    SizeBreakdown {
+        base_bits: BASE_BITS,
+        metadata_bits: METADATA_BITS,
+        delta_bits: u64::from(delta_bits) * lane.len() as u64,
     }
 }
 
-/// The `(min, max)` code values of one channel over a tile.
+/// Reads a tile's three channel records into `frame`.
 ///
-/// Scalar reference walk over AoS pixels; the hot paths use the lane kernel
-/// [`pvc_color::lanes::min_max_u8`] over an SoA gather instead, and the
-/// equivalence suites compare the two.
+/// Each decoded code `base + delta` is stored as `store(current, code)`,
+/// where `current` is the pixel's channel value before the record:
+/// intra records keep the code, temporal Delta records add its unzigzagged
+/// residual to the reference sample. A channel's Δ bit length must be at
+/// most 8, and its whole payload must fit the remaining input before any
+/// of it is read.
 ///
-/// # Panics
-///
-/// Panics if `pixels` is empty.
-pub fn channel_range(pixels: &[Srgb8], channel: usize) -> (u8, u8) {
-    assert!(!pixels.is_empty(), "cannot encode an empty tile");
-    let mut min = u8::MAX;
-    let mut max = u8::MIN;
-    for p in pixels {
-        let v = p.channel(channel);
-        min = min.min(v);
-        max = max.max(v);
+/// `tile` must lie inside `frame` (the caller sizes the frame from the
+/// validated header). Always inlined, like [`write_channel`], so each
+/// caller's `store` folds into its pixel loop.
+#[inline(always)]
+pub(crate) fn read_tile(
+    r: &mut BitReader<'_>,
+    tile: TileRect,
+    frame: &mut SrgbFrame,
+    store: impl Fn(u8, u8) -> u8,
+) -> Result<(), BitstreamError> {
+    let width = frame.dimensions().width as usize;
+    let pixels = frame.pixels_mut();
+    for channel in 0..3 {
+        let base = r.read_bits(BASE_BITS as u32)? as u8;
+        let delta_bits = r.read_bits(METADATA_BITS as u32)?;
+        if delta_bits > 8 {
+            return Err(BitstreamError::InvalidHeader {
+                field: "delta bit length",
+            });
+        }
+        // A `delta_bits = 0` channel consumes no further input; the header
+        // floor bounds those, and this bounds every other channel.
+        check_remaining(r, tile.pixel_count() as u64 * u64::from(delta_bits))?;
+        for y in tile.y..tile.y + tile.height {
+            let row = y as usize * width;
+            for x in tile.x..tile.x + tile.width {
+                let code = base.wrapping_add(r.read_bits(delta_bits)? as u8);
+                let pixel = &mut pixels[row + x as usize];
+                let slot = match channel {
+                    0 => &mut pixel.r,
+                    1 => &mut pixel.g,
+                    _ => &mut pixel.b,
+                };
+                *slot = store(*slot, code);
+            }
+        }
     }
-    (min, max)
+    Ok(())
 }
 
-/// Decodes a tile back into sRGB pixels. BD is numerically lossless, so this
-/// returns exactly the pixels passed to [`encode_tile`].
-pub fn decode_tile(tile: &TileEncoding) -> Vec<Srgb8> {
-    let r = tile.channels[0].decode();
-    let g = tile.channels[1].decode();
-    let b = tile.channels[2].decode();
-    (0..tile.pixel_count)
-        .map(|i| Srgb8::new(r[i], g[i], b[i]))
-        .collect()
+/// Fails with [`BitstreamError::InsufficientInput`] unless at least
+/// `required_bits` remain.
+fn check_remaining(r: &BitReader<'_>, required_bits: u64) -> Result<(), BitstreamError> {
+    if required_bits > r.remaining_bits() {
+        return Err(BitstreamError::InsufficientInput {
+            required_bits,
+            remaining_bits: r.remaining_bits(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BdConfig, BdDecoder, BdEncodedFrame, BdEncoder};
+    use pvc_color::Srgb8;
+
+    /// Encodes `pixels` as a `side`×`side` frame covered by exactly one
+    /// tile and checks that the decoder reproduces it.
+    fn one_tile(side: u32, pixels: &[Srgb8]) -> BdEncodedFrame {
+        let dims = Dimensions::new(side, side);
+        let frame = SrgbFrame::from_pixels(dims, pixels.to_vec()).expect("square tile");
+        let encoded = BdEncoder::new(BdConfig::with_tile_size(side)).encode_frame(&frame);
+        let decoded = BdDecoder::new()
+            .decode_bitstream(&encoded.to_bitstream())
+            .expect("valid stream");
+        assert_eq!(decoded, frame);
+        encoded
+    }
 
     #[test]
     fn bits_for_range_matches_manual_table() {
@@ -178,13 +271,15 @@ mod tests {
 
     #[test]
     fn flat_tile_needs_no_delta_bits() {
-        let pixels = vec![Srgb8::new(95, 12, 200); 16];
-        let tile = encode_tile(&pixels);
-        assert_eq!(tile.max_delta_bits(), 0);
-        assert_eq!(tile.size().delta_bits, 0);
-        assert_eq!(tile.size().base_bits, 24);
-        assert_eq!(tile.size().metadata_bits, 12);
-        assert_eq!(decode_tile(&tile), pixels);
+        let encoded = one_tile(4, &[Srgb8::new(95, 12, 200); 16]);
+        assert_eq!(
+            encoded.size_breakdown(),
+            SizeBreakdown {
+                base_bits: 24,
+                metadata_bits: 12,
+                delta_bits: 0,
+            }
+        );
     }
 
     #[test]
@@ -195,11 +290,10 @@ mod tests {
             95u8, 97, 96, 95, 98, 99, 95, 96, 97, 95, 98, 95, 96, 97, 95, 99,
         ];
         let pixels: Vec<Srgb8> = codes.iter().map(|&v| Srgb8::new(v, v, v)).collect();
-        let tile = encode_tile(&pixels);
-        assert_eq!(tile.channels[0].base, 95);
-        assert_eq!(tile.channels[0].delta_bits, 3); // range 4 → 3 bits
-        assert_eq!(decode_tile(&tile), pixels);
-        let bpp = tile.size().bits_per_pixel(16);
+        let encoded = one_tile(4, &pixels);
+        // Range 4 → 3 bits per Δ, in each of the three channels.
+        assert_eq!(encoded.size_breakdown().delta_bits, 3 * 16 * 3);
+        let bpp = encoded.size_breakdown().bits_per_pixel(16);
         assert!(bpp < 12.0, "bits per pixel {bpp}");
     }
 
@@ -209,58 +303,41 @@ mod tests {
         let noisy: Vec<Srgb8> = (0..16u8)
             .map(|i| Srgb8::new(i.wrapping_mul(37), i.wrapping_mul(91), i))
             .collect();
-        let s = encode_tile(&smooth).size().total_bits();
-        let n = encode_tile(&noisy).size().total_bits();
+        let s = one_tile(4, &smooth).size_breakdown().total_bits();
+        let n = one_tile(4, &noisy).size_breakdown().total_bits();
         assert!(n > s);
     }
 
     #[test]
     fn roundtrip_is_lossless_for_extremes() {
-        let pixels = vec![
-            Srgb8::new(0, 255, 128),
-            Srgb8::new(255, 0, 127),
-            Srgb8::new(1, 254, 126),
-            Srgb8::new(254, 1, 129),
-        ];
-        let tile = encode_tile(&pixels);
-        assert_eq!(decode_tile(&tile), pixels);
-        assert_eq!(tile.channels[0].delta_bits, 8);
+        let encoded = one_tile(
+            2,
+            &[
+                Srgb8::new(0, 255, 128),
+                Srgb8::new(255, 0, 127),
+                Srgb8::new(1, 254, 126),
+                Srgb8::new(254, 1, 129),
+            ],
+        );
+        // R and G span 0..=255 (8 bits), B spans 126..=129 (2 bits).
+        assert_eq!(encoded.size_breakdown().delta_bits, 4 * (8 + 8 + 2));
     }
 
     #[test]
-    fn channel_encoding_size_accounts_every_delta() {
+    fn size_accounts_every_delta() {
         let pixels: Vec<Srgb8> = (0..36).map(|i| Srgb8::new(i as u8, 0, 0)).collect();
-        let tile = encode_tile(&pixels);
-        assert_eq!(tile.channels[0].deltas.len(), 36);
-        assert_eq!(tile.channels[0].delta_bits, 6);
-        assert_eq!(tile.channels[0].size().delta_bits, 36 * 6);
+        // Only R varies: range 35 → 6 bits for each of the 36 pixels.
+        assert_eq!(one_tile(6, &pixels).size_breakdown().delta_bits, 36 * 6);
     }
 
     #[test]
-    #[should_panic]
-    fn empty_tile_panics() {
-        let _ = encode_tile(&[]);
-    }
-
-    #[test]
-    fn lane_range_matches_scalar_reference() {
-        // Pixel counts around the 8-wide lane blocking, including remainders.
-        for len in 1..=33usize {
-            let pixels: Vec<Srgb8> = (0..len)
-                .map(|i| {
-                    let v = (i * 37 % 256) as u8;
-                    Srgb8::new(v, v.wrapping_mul(3), v.wrapping_add(91))
-                })
-                .collect();
-            let mut lanes = SrgbTileLanes::new();
-            lanes.fill_from_pixels(&pixels);
-            for channel in 0..3 {
-                assert_eq!(
-                    min_max_u8(lanes.channel(channel)),
-                    channel_range(&pixels, channel),
-                    "len {len} channel {channel}"
-                );
-            }
-        }
+    #[should_panic(expected = "16-bit header fields")]
+    fn oversized_geometry_is_refused_by_the_header_writer() {
+        write_header(
+            &mut BitWriter::new(),
+            FrameKind::Key,
+            Dimensions::new(4, 4),
+            u32::from(u16::MAX) + 1,
+        );
     }
 }

@@ -47,6 +47,6 @@ pub use lanes::LANE_WIDTH;
 pub use math::{Mat3, Vec3};
 pub use srgb::{
     linear_to_srgb, linear_to_srgb8, linear_to_srgb8_min_max, linear_to_srgb8_reference,
-    linear_to_srgb8_slice, linear_to_srgb_slice, srgb8_to_linear, srgb8_to_linear_reference,
-    srgb8_to_linear_slice, srgb_to_linear, srgb_to_linear_slice, LinearRgb, Srgb8,
+    linear_to_srgb8_slice, srgb8_to_linear, srgb8_to_linear_reference, srgb8_to_linear_slice,
+    srgb_to_linear, LinearRgb, Srgb8,
 };

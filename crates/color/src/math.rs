@@ -100,36 +100,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise minimum.
-    #[inline]
-    pub fn component_min(self, other: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.x.min(other.x),
-            y: self.y.min(other.y),
-            z: self.z.min(other.z),
-        }
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn component_max(self, other: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.x.max(other.x),
-            y: self.y.max(other.y),
-            z: self.z.max(other.z),
-        }
-    }
-
-    /// Clamps every component to the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn clamp_components(self, lo: f64, hi: f64) -> Vec3 {
-        Vec3 {
-            x: self.x.clamp(lo, hi),
-            y: self.y.clamp(lo, hi),
-            z: self.z.clamp(lo, hi),
-        }
-    }
-
     /// Returns the component selected by `index` (0 → x, 1 → y, 2 → z).
     ///
     /// # Panics
@@ -533,15 +503,6 @@ mod tests {
     #[should_panic]
     fn vec3_component_out_of_range_panics() {
         let _ = Vec3::ZERO.component(3);
-    }
-
-    #[test]
-    fn vec3_min_max_clamp() {
-        let a = Vec3::new(0.2, 1.4, -0.5);
-        let b = Vec3::new(0.4, 0.1, 0.0);
-        assert_eq!(a.component_min(b), Vec3::new(0.2, 0.1, -0.5));
-        assert_eq!(a.component_max(b), Vec3::new(0.4, 1.4, 0.0));
-        assert_eq!(a.clamp_components(0.0, 1.0), Vec3::new(0.2, 1.0, 0.0));
     }
 
     #[test]

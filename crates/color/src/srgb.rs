@@ -166,53 +166,6 @@ pub fn srgb8_to_linear(v: u8) -> f64 {
     decode_table()[v as usize]
 }
 
-/// Applies [`linear_to_srgb`] element-wise with a branch-free select.
-///
-/// Both sides of the piecewise transfer function are evaluated and the
-/// result is chosen with a mask-select, so the loop body has no data-dependent
-/// branch and autovectorizes. Bit-identical to the scalar function: both
-/// branch expressions are pure, so evaluating the untaken one cannot change
-/// the selected value.
-///
-/// # Panics
-///
-/// Panics if `input` and `out` have different lengths.
-pub fn linear_to_srgb_slice(input: &[f64], out: &mut [f64]) {
-    assert_eq!(input.len(), out.len(), "slice kernel length mismatch");
-    for (&x, slot) in input.iter().zip(out.iter_mut()) {
-        let x = x.clamp(0.0, 1.0);
-        let linear = 12.92 * x;
-        let power = 1.055 * x.powf(1.0 / 2.4) - 0.055;
-        *slot = if x <= SRGB_LINEAR_THRESHOLD {
-            linear
-        } else {
-            power
-        };
-    }
-}
-
-/// Applies [`srgb_to_linear`] element-wise with a branch-free select.
-///
-/// Same mask-select construction (and the same bit-identity argument) as
-/// [`linear_to_srgb_slice`].
-///
-/// # Panics
-///
-/// Panics if `input` and `out` have different lengths.
-pub fn srgb_to_linear_slice(input: &[f64], out: &mut [f64]) {
-    assert_eq!(input.len(), out.len(), "slice kernel length mismatch");
-    for (&x, slot) in input.iter().zip(out.iter_mut()) {
-        let x = x.clamp(0.0, 1.0);
-        let linear = x / 12.92;
-        let power = ((x + 0.055) / 1.055).powf(2.4);
-        *slot = if x <= SRGB_ENCODED_THRESHOLD {
-            linear
-        } else {
-            power
-        };
-    }
-}
-
 /// Quantizes a slice of linear channel values to 8-bit sRGB codes in
 /// [`LANE_WIDTH`]-wide groups.
 ///
@@ -700,16 +653,6 @@ mod tests {
                     ((state >> 11) as f64 / (1u64 << 53) as f64) * 1.4 - 0.2
                 })
                 .collect();
-            let mut encoded = vec![0.0; len];
-            linear_to_srgb_slice(&input, &mut encoded);
-            for (x, y) in input.iter().zip(&encoded) {
-                assert_eq!(y.to_bits(), linear_to_srgb(*x).to_bits());
-            }
-            let mut decoded = vec![0.0; len];
-            srgb_to_linear_slice(&input, &mut decoded);
-            for (x, y) in input.iter().zip(&decoded) {
-                assert_eq!(y.to_bits(), srgb_to_linear(*x).to_bits());
-            }
             let mut codes = vec![0u8; len];
             linear_to_srgb8_slice(&input, &mut codes);
             for (x, c) in input.iter().zip(&codes) {

@@ -64,7 +64,8 @@ pub struct EncoderConfig {
     /// The axes the adjustment is attempted along; the result with the
     /// smaller Δ cost wins. The paper uses Blue and Red.
     pub axes: Vec<RgbAxis>,
-    /// Number of worker threads for frame encoding (1 = sequential).
+    /// Number of worker threads for the per-tile adjustment (1 =
+    /// sequential). The BD packing that follows is serial.
     ///
     /// A struct-literal 0 is normalized to 1 at encoder
     /// construction — `PerceptualEncoder::new` and `BdEncoder::with_threads`

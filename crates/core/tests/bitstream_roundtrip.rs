@@ -1,19 +1,19 @@
 //! End-to-end bitstream round-trip pin for the perceptual encoder:
 //!
 //! ```text
-//! encode_frame_stream → to_bitstream → from_bitstream → decode
-//!                                            == adjusted frame
+//! encode_frame_stream → to_bitstream → BdDecoder → decoded frame
+//!                                                  == adjusted frame
 //! ```
 //!
 //! BD is numerically lossless, so the bytes a streaming worker ships must
 //! reconstruct the *adjusted* frame bit-for-bit — across arbitrary
 //! dimensions (including non-tile-multiple edges), every resolution
 //! tier's effective tile size (4 for the Quest-class tiers, 8 for the
-//! Vision-class override), and both serial and 4-thread encoders. The
-//! scratch-based `BdDecoder` path is pinned against the same reference.
+//! Vision-class override), and both serial and 4-thread encoders. Both
+//! the allocating and the scratch-reusing decode entry points are pinned.
 
 use proptest::prelude::*;
-use pvc_bdc::{BdDecoder, BdEncodedFrame};
+use pvc_bdc::BdDecoder;
 use pvc_color::{Srgb8, SyntheticDiscriminationModel};
 use pvc_core::{EncoderConfig, PerceptualEncoder};
 use pvc_fovea::{DisplayGeometry, GazePoint};
@@ -44,16 +44,15 @@ fn roundtrip(width: u32, height: u32, tile_size: u32, threads: usize, seed: u64)
     let result = encoder.encode_frame_stream(&frame, &display, gaze);
 
     let bytes = result.encoded.to_bitstream();
-    let parsed = BdEncodedFrame::from_bitstream(&bytes).expect("the encoder's bytes are valid");
-    assert_eq!(parsed, result.encoded, "parse must reproduce the encoding");
+    let decoded = BdDecoder::new()
+        .decode_bitstream(&bytes)
+        .expect("the encoder's bytes are valid");
     assert_eq!(
-        parsed.decode(),
-        result.adjusted,
+        decoded, result.adjusted,
         "decoded pixels must equal the adjusted frame (BD is lossless)"
     );
 
-    // The scratch decoder sees the same pixels without materializing the
-    // tile structure.
+    // Decoding into a recycled frame sees the same pixels.
     let mut scratch = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
     BdDecoder::new()
         .decode_bitstream_into(&bytes, &mut scratch)

@@ -384,13 +384,6 @@ impl LinearFrame {
             }
         }
     }
-
-    /// Clamps every pixel into the `[0, 1]` gamut.
-    pub fn clamp_in_place(&mut self) {
-        for p in &mut self.pixels {
-            *p = p.clamped();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -552,21 +545,5 @@ mod tests {
         let mut out = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
         f.to_srgb_into(&mut out);
         assert_eq!(out, f.to_srgb());
-    }
-
-    #[test]
-    fn clamp_in_place_restores_gamut() {
-        let d = Dimensions::new(2, 1);
-        let mut f = LinearFrame::from_pixels(
-            d,
-            vec![
-                LinearRgb::new(-0.2, 0.5, 1.4),
-                LinearRgb::new(0.1, 0.2, 0.3),
-            ],
-        )
-        .unwrap();
-        f.clamp_in_place();
-        assert!(f.pixel(0, 0).in_gamut(0.0));
-        assert_eq!(f.pixel(1, 0), LinearRgb::new(0.1, 0.2, 0.3));
     }
 }

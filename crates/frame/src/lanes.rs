@@ -13,7 +13,7 @@
 
 use crate::frame::{LinearFrame, SrgbFrame};
 use crate::tile::TileRect;
-use pvc_color::{LinearRgb, Srgb8};
+use pvc_color::LinearRgb;
 
 /// A tile's pixels as three per-channel `u8` lanes (8-bit sRGB codes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -63,27 +63,6 @@ impl SrgbTileLanes {
             1 => &self.g,
             2 => &self.b,
             _ => panic!("tile lane channel index out of range: {index}"),
-        }
-    }
-
-    /// Transposes an AoS pixel slice into the three lanes, clearing them
-    /// first.
-    pub fn fill_from_pixels(&mut self, pixels: &[Srgb8]) {
-        self.clear();
-        self.reserve(pixels.len());
-        for p in pixels {
-            self.r.push(p.r);
-            self.g.push(p.g);
-            self.b.push(p.b);
-        }
-    }
-
-    /// Transposes the lanes back into an AoS pixel buffer, clearing it first.
-    pub fn scatter_into(&self, out: &mut Vec<Srgb8>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(Srgb8::new(self.r[i], self.g[i], self.b[i]));
         }
     }
 
@@ -220,6 +199,7 @@ mod tests {
     use super::*;
     use crate::frame::Dimensions;
     use crate::tile::TileGrid;
+    use pvc_color::Srgb8;
 
     fn checkerboard(d: Dimensions) -> SrgbFrame {
         let mut f = SrgbFrame::filled(d, Srgb8::default());
@@ -243,9 +223,6 @@ mod tests {
             for (i, p) in aos.iter().enumerate() {
                 assert_eq!((lanes.r[i], lanes.g[i], lanes.b[i]), (p.r, p.g, p.b));
             }
-            let mut scattered = Vec::new();
-            lanes.scatter_into(&mut scattered);
-            assert_eq!(scattered, aos);
         }
     }
 
@@ -271,10 +248,12 @@ mod tests {
 
     #[test]
     fn fill_from_pixels_round_trips() {
-        let pixels: Vec<Srgb8> = (0..19u8).map(|i| Srgb8::new(i, i + 1, i + 2)).collect();
-        let mut lanes = SrgbTileLanes::new();
+        let pixels: Vec<LinearRgb> = (0..19)
+            .map(|i| LinearRgb::new(f64::from(i), f64::from(i + 1), f64::from(i + 2)))
+            .collect();
+        let mut lanes = LinearTileLanes::new();
         lanes.fill_from_pixels(&pixels);
-        assert_eq!(lanes.channel(1)[3], 4);
+        assert_eq!(lanes.channel(1)[3], 4.0);
         let mut back = Vec::new();
         lanes.scatter_into(&mut back);
         assert_eq!(back, pixels);

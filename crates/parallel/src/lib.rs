@@ -1,10 +1,9 @@
 //! Deterministic scoped-thread fan-out for the encoder hot paths.
 //!
-//! The perceptual encoder and the BD codec both process a frame as an
-//! ordered list of independent tiles, so their parallel paths share one
-//! primitive: split the work-list into contiguous chunks, process the
-//! chunks on scoped worker threads, and stitch the results back together
-//! *in order*. Because every item is processed by a pure function and the
+//! The perceptual encoder processes a frame as an ordered list of
+//! independent tiles, so its parallel path is one primitive: split the
+//! work-list into contiguous chunks, process the chunks on scoped worker
+//! threads, and stitch the results back together *in order*. Because every item is processed by a pure function and the
 //! output order is the input order, the parallel result is bit-identical
 //! to the sequential one — the property the round-trip tests pin down.
 //!
@@ -16,7 +15,9 @@
 //! # Examples
 //!
 //! ```
-//! let squares = pvc_parallel::parallel_map_init(&[1u64, 2, 3, 4], 2, || (), |(), &x| x * x);
+//! let squares = pvc_parallel::parallel_chunk_map_init(&[1u64, 2, 3, 4], 2, || (), |(), chunk| {
+//!     chunk.iter().map(|&x| x * x).collect()
+//! });
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -33,41 +34,21 @@ pub use queue::{bounded_queue, BoundedReceiver, BoundedSender, QueueClosed, Queu
 /// off; below `threads * MIN_ITEMS_PER_THREAD` items the map runs inline.
 pub const MIN_ITEMS_PER_THREAD: usize = 2;
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning the outputs in input order. Each worker thread first builds
-/// private state with `init` and reuses it across every item of its chunk.
+/// Maps `f` over contiguous chunks of `items` on up to `threads` scoped
+/// worker threads, concatenating the per-chunk outputs in input order.
+/// Each worker thread first builds private state with `init` and reuses
+/// it across every chunk it processes.
 ///
 /// With `threads <= 1`, or when the work-list is too small to amortise
-/// thread spawns, the map runs sequentially on the calling thread. The
-/// output is identical in both paths.
+/// thread spawns, `f` runs once over all of `items` on the calling thread.
+/// The output is identical in both paths whenever `f` maps each item
+/// independently of how the list was chunked.
 ///
 /// This is the scratch-buffer fan-out: per-tile adjustment wants one
 /// `AdjustScratch`-style set of reusable buffers *per thread*, not per
 /// tile. `init` runs once per worker (once total on the sequential path),
 /// so the number of state constructions is bounded by `threads`, never by
 /// `items.len()`.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` (the scope joins all workers
-/// first).
-pub fn parallel_map_init<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    parallel_chunk_map_init(items, threads, init, |state, chunk| {
-        chunk.iter().map(|item| f(state, item)).collect()
-    })
-}
-
-/// The per-worker-state primitive behind [`parallel_map_init`]: each
-/// worker builds one `S` with `init`, then maps `f` over contiguous chunks
-/// of `items`, concatenating the per-chunk outputs in input order. Use it
-/// directly when the worker wants to amortise per-chunk state (a stats
-/// accumulator, a scratch buffer) across the items of its chunk.
 ///
 /// # Panics
 ///
@@ -111,6 +92,19 @@ mod tests {
 
     fn hash(x: &u32) -> u32 {
         x.wrapping_mul(2654435761)
+    }
+
+    /// Maps `f` item by item through the chunk primitive, the way a
+    /// per-tile loop uses it.
+    fn parallel_map_init<T: Sync, U: Send, S>(
+        items: &[T],
+        threads: usize,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, &T) -> U + Sync,
+    ) -> Vec<U> {
+        parallel_chunk_map_init(items, threads, init, |state, chunk| {
+            chunk.iter().map(|item| f(state, item)).collect()
+        })
     }
 
     #[test]

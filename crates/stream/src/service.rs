@@ -380,12 +380,6 @@ impl StreamService {
         first..self.sessions.len()
     }
 
-    /// The shard a session id lands on under the default [`Static`]
-    /// placement used by [`run`](Self::run).
-    pub fn shard_of(&self, session: usize) -> usize {
-        session % self.config.shards
-    }
-
     /// Streams every admitted session to completion and reports, routing
     /// sessions with the deterministic [`Static`] modulo placement.
     ///
@@ -603,7 +597,6 @@ mod tests {
         let report = service.run();
         for session in &report.sessions {
             assert_eq!(session.shard, session.session % 2);
-            assert_eq!(service.shard_of(session.session), session.shard);
         }
         assert_eq!(report.shards.len(), 2);
         assert_eq!(report.shards[0].sessions, 2);

@@ -3,7 +3,6 @@
 //! decoding.
 
 use perceptual_vr_encoding::prelude::*;
-use pvc_bdc::BdEncodedFrame;
 
 fn encode_scene(scene: SceneId, dims: Dimensions) -> (PerceptualEncodeResult, LinearFrame) {
     let frame = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(0);
@@ -20,8 +19,10 @@ fn encode_scene(scene: SceneId, dims: Dimensions) -> (PerceptualEncodeResult, Li
 fn full_pipeline_roundtrips_through_the_bitstream() {
     let (result, _) = encode_scene(SceneId::Office, Dimensions::new(128, 96));
     let bytes = result.encoded.to_bitstream();
-    let decoded = BdEncodedFrame::from_bitstream(&bytes).expect("valid stream");
-    assert_eq!(decoded.decode(), result.adjusted);
+    let decoded = BdDecoder::new()
+        .decode_bitstream(&bytes)
+        .expect("valid stream");
+    assert_eq!(decoded, result.adjusted);
     // The serialized stream is (slightly) larger than the accounted payload
     // because of the stream header, but never smaller.
     assert!(bytes.len() as u64 * 8 >= result.our_stats().compressed_bits);
