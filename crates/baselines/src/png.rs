@@ -2,8 +2,8 @@
 //!
 //! The paper's PNG baseline represents "offline lossless image compression
 //! that is too compute-intensive for real-time framebuffer traffic". This
-//! module re-implements that pipeline from scratch (DESIGN.md, substitution
-//! S3): per-scanline prediction filters (None/Sub/Up/Average/Paeth, chosen
+//! module re-implements that pipeline from scratch (`docs/ARCHITECTURE.md`,
+//! substitution S3): per-scanline prediction filters (None/Sub/Up/Average/Paeth, chosen
 //! per row with the standard minimum-sum-of-absolute-differences heuristic),
 //! followed by LZ77 tokenization and canonical Huffman entropy coding of the
 //! token stream. The codec is numerically lossless and round-trips exactly.

@@ -10,7 +10,7 @@
 //! The paper runs the greedy algorithm over all 2²⁴ sRGB colors and reports
 //! a ~32 K-color codebook (15 bits per pixel) with a 30 MB encoding table.
 //! Running the full 2²⁴-cell greedy is possible but slow, so the lattice
-//! resolution is configurable (DESIGN.md, substitution S4): the codec covers
+//! resolution is configurable (`docs/ARCHITECTURE.md`, substitution S4): the codec covers
 //! a `2^(3·bits)` lattice and reports both the lattice codebook and the
 //! extrapolated full-resolution table sizes.
 

@@ -51,7 +51,6 @@ const SPEC: ArgSpec = ArgSpec {
         "--width",
         "--height",
         "--shards",
-        "--queue-depth",
         "--placement",
         "--fleet-budget",
         "--queue-capacity",
@@ -66,7 +65,7 @@ const SPEC: ArgSpec = ArgSpec {
 };
 
 const USAGE: &str = "[--quick] [--sessions N] [--frames N] [--width PX] [--height PX] \
-                     [--shards N] [--queue-depth N] \
+                     [--shards N] \
                      [--placement static|least-loaded] \
                      [--fleet-budget PIXELS] [--queue-capacity N] \
                      [--scale-up PIXELS] [--scale-down PIXELS] \
@@ -95,7 +94,6 @@ struct RunConfig {
     sessions: usize,
     frames: u32,
     dimensions: Dimensions,
-    queue_depth: usize,
     /// `Some(n)` pins the fleet at `n` shards and disables autoscaling.
     fixed_shards: Option<usize>,
     fleet_budget: u64,
@@ -149,7 +147,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
         sessions,
         frames,
         dimensions,
-        queue_depth: 4,
         fixed_shards: parsed.positive_usize("--shards")?,
         fleet_budget: whale.pixel_cost() + 2 * quest_cost,
         queue_capacity: if quick { 2 } else { 3 },
@@ -166,9 +163,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
         },
         shed_after: if quick { 2 } else { 3 },
     };
-    if let Some(depth) = parsed.positive_usize("--queue-depth")? {
-        config.queue_depth = depth;
-    }
     if let Some(budget) = parsed.u64_value("--fleet-budget")? {
         config.fleet_budget = budget;
     }
@@ -294,7 +288,6 @@ fn main() {
     let runtime = StreamRuntime::start(
         ServiceConfig::default()
             .with_shards(initial_shards)
-            .with_queue_depth(config.queue_depth)
             // Tracing is always on (allocation-free on the hot path);
             // `--trace` only controls the Chrome export.
             .with_trace(TraceConfig::default()),

@@ -41,7 +41,6 @@ const SPEC: ArgSpec = ArgSpec {
         "--sessions",
         "--frames",
         "--shards",
-        "--queue-depth",
         "--width",
         "--height",
         "--waves",
@@ -60,7 +59,7 @@ const SPEC: ArgSpec = ArgSpec {
 };
 
 const USAGE: &str = "[--quick] [--sessions N] [--frames N] [--shards N] \
-                     [--queue-depth N] [--width PX] [--height PX] \
+                     [--width PX] [--height PX] \
                      [--waves N] [--churn N] \
                      [--placement static|least-loaded] \
                      [--mix uniform|bimodal|heavy-tail] [--hard-cancel N] \
@@ -73,7 +72,6 @@ struct RunConfig {
     sessions: usize,
     frames: u32,
     shards: usize,
-    queue_depth: usize,
     dimensions: Dimensions,
     waves: usize,
     churn: usize,
@@ -90,7 +88,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
             sessions: 8,
             frames: 10,
             shards: default_shards,
-            queue_depth: 4,
             dimensions: Dimensions::new(96, 96),
             waves: 2,
             churn: 2,
@@ -102,7 +99,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
             sessions: 16,
             frames: 30,
             shards: default_shards,
-            queue_depth: 4,
             dimensions: Dimensions::new(256, 256),
             waves: 3,
             churn: 4,
@@ -118,9 +114,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
     }
     if let Some(shards) = parsed.positive_usize("--shards")? {
         config.shards = shards;
-    }
-    if let Some(depth) = parsed.positive_usize("--queue-depth")? {
-        config.queue_depth = depth;
     }
     if let Some(width) = parsed.positive_u32("--width")? {
         config.dimensions.width = width;
@@ -154,7 +147,7 @@ fn main() {
 
     println!(
         "session_churn: {} initial sessions x {} base frames at {}x{} base, {} mix, \
-         {} shards (queue depth {}, {} placement), {} waves retiring {} sessions each \
+         {} shards ({} placement), {} waves retiring {} sessions each \
          ({} hard-cancelled)\n",
         config.sessions,
         config.frames,
@@ -162,7 +155,6 @@ fn main() {
         config.dimensions.height,
         config.mix.name(),
         config.shards,
-        config.queue_depth,
         placement.name(),
         config.waves,
         config.churn,
@@ -172,7 +164,6 @@ fn main() {
     let mut runtime = StreamRuntime::start(
         ServiceConfig::default()
             .with_shards(config.shards)
-            .with_queue_depth(config.queue_depth)
             // The link replay consumes each session's framed wire stream
             // — including the partial streams of hard-cancelled sessions.
             .with_collect_wire(link_model.is_some())
@@ -274,16 +265,16 @@ fn main() {
         );
     }
 
-    println!("\nshard  sessions  frames  utilization   Mpx/s  queue-stalls");
+    println!("\nshard  sessions  frames  encode-util  render-util   Mpx/s");
     for shard in &report.shards {
         println!(
-            "{:>5} {:>9} {:>7} {:>11.0}% {:>7.2} {:>13}",
+            "{:>5} {:>9} {:>7} {:>11.0}% {:>11.0}% {:>7.2}",
             shard.shard,
             shard.sessions,
             shard.frames,
             shard.utilization() * 100.0,
+            shard.render_utilization() * 100.0,
             shard.megapixels_per_second(),
-            shard.queue_stalls,
         );
     }
 
@@ -370,7 +361,6 @@ fn main() {
                 ("sessions".to_string(), config.sessions.into()),
                 ("frames".to_string(), u64::from(config.frames).into()),
                 ("shards".to_string(), config.shards.into()),
-                ("queue_depth".to_string(), config.queue_depth.into()),
                 (
                     "width".to_string(),
                     u64::from(config.dimensions.width).into(),

@@ -34,7 +34,6 @@ const SPEC: ArgSpec = ArgSpec {
         "--sessions",
         "--frames",
         "--shards",
-        "--queue-depth",
         "--width",
         "--height",
         "--placement",
@@ -51,7 +50,7 @@ const SPEC: ArgSpec = ArgSpec {
 
 const USAGE: &str = "[--quick] [--temporal] [--keyframe-interval N] \
                      [--sessions N] [--frames N] [--shards N] \
-                     [--queue-depth N] [--width PX] [--height PX] \
+                     [--width PX] [--height PX] \
                      [--placement static|least-loaded] \
                      [--mix uniform|bimodal|heavy-tail] \
                      [--link none|lossless|capped] [--bandwidth-mbits MBITS] \
@@ -75,7 +74,6 @@ struct RunConfig {
     sessions: usize,
     frames: u32,
     shards: usize,
-    queue_depth: usize,
     dimensions: Dimensions,
 }
 
@@ -87,7 +85,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
             sessions: 8,
             frames: 12,
             shards: default_shards,
-            queue_depth: 4,
             dimensions: Dimensions::new(96, 96),
         }
     } else {
@@ -95,7 +92,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
             sessions: 16,
             frames: 30,
             shards: default_shards,
-            queue_depth: 4,
             dimensions: Dimensions::new(256, 256),
         }
     };
@@ -107,9 +103,6 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
     }
     if let Some(shards) = parsed.positive_usize("--shards")? {
         config.shards = shards;
-    }
-    if let Some(depth) = parsed.positive_usize("--queue-depth")? {
-        config.queue_depth = depth;
     }
     if let Some(width) = parsed.positive_u32("--width")? {
         config.dimensions.width = width;
@@ -137,14 +130,13 @@ fn main() {
 
     println!(
         "stream_throughput: {} sessions x {} base frames at {}x{} base, {} mix, \
-         {} shards (queue depth {}, {} placement), {}\n",
+         {} shards ({} placement), {}\n",
         config.sessions,
         config.frames,
         config.dimensions.width,
         config.dimensions.height,
         mix.name(),
         config.shards,
-        config.queue_depth,
         placement.name(),
         if temporal_on {
             format!("temporal coding every {keyframe_interval} frames")
@@ -160,7 +152,6 @@ fn main() {
     let mut service = StreamService::new(
         ServiceConfig::default()
             .with_shards(config.shards)
-            .with_queue_depth(config.queue_depth)
             .with_encoder(encoder_config)
             // The link replay consumes each session's framed wire stream.
             .with_collect_wire(link_model.is_some())
@@ -214,16 +205,16 @@ fn main() {
         );
     }
 
-    println!("\nshard  sessions  frames  utilization   Mpx/s  queue-stalls");
+    println!("\nshard  sessions  frames  encode-util  render-util   Mpx/s");
     for shard in &report.shards {
         println!(
-            "{:>5} {:>9} {:>7} {:>11.0}% {:>7.2} {:>13}",
+            "{:>5} {:>9} {:>7} {:>11.0}% {:>11.0}% {:>7.2}",
             shard.shard,
             shard.sessions,
             shard.frames,
             shard.utilization() * 100.0,
+            shard.render_utilization() * 100.0,
             shard.megapixels_per_second(),
-            shard.queue_stalls,
         );
     }
 
@@ -342,7 +333,6 @@ fn main() {
                 ("sessions".to_string(), config.sessions.into()),
                 ("frames".to_string(), u64::from(config.frames).into()),
                 ("shards".to_string(), config.shards.into()),
-                ("queue_depth".to_string(), config.queue_depth.into()),
                 (
                     "width".to_string(),
                     u64::from(config.dimensions.width).into(),

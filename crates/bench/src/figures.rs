@@ -405,7 +405,7 @@ pub fn tab_psnr(measurements: &[SceneMeasurement]) -> Figure {
     }
 }
 
-/// Ablation table (DESIGN.md): contribution of the axis choice, the foveal
+/// Ablation table (`docs/ARCHITECTURE.md`, "Substitutions"): contribution of the axis choice, the foveal
 /// bypass and the model scale, averaged over all six scenes.
 pub fn tab_ablation(config: &ExperimentConfig) -> Figure {
     use pvc_core::{run_ablation, AblationVariant};

@@ -202,9 +202,6 @@ fn shard_json(shard: &ShardReport) -> Json {
         ),
         ("render_seconds", shard.render_seconds.into()),
         ("render_utilization", shard.render_utilization().into()),
-        ("queue_stalls", shard.queue_stalls.into()),
-        ("queue_enqueued", shard.queue_enqueued.into()),
-        ("queue_peak_depth", shard.queue_peak_depth.into()),
     ])
 }
 
@@ -434,7 +431,6 @@ mod tests {
             r#""frames":6"#,
             r#""hit_rate":"#,
             r#""shards":[{"shard":0"#,
-            r#""queue_enqueued":"#,
             r#""render_utilization":"#,
             r#""churn":{"admitted":3"#,
             r#""elasticity":{"rejected":0"#,

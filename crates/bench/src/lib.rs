@@ -1,7 +1,7 @@
 //! Experiment harness for the paper's evaluation section.
 //!
 //! Every table and figure of the paper has a corresponding generator here
-//! (see DESIGN.md for the experiment index). The binaries under `src/bin/`
+//! (see `docs/REPRODUCING.md` for the experiment index). The binaries under `src/bin/`
 //! print the regenerated series and write CSV files under
 //! `target/figures/`; the Criterion benches under `benches/` measure the
 //! throughput of the underlying computations.

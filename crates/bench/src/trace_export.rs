@@ -4,7 +4,7 @@
 //!
 //! The Chrome document follows the trace-event JSON format (load it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>): one *process* per
-//! shard (producer thread `tid 0`, worker thread `tid 1`), one process
+//! shard (its two threads are `tid 0` and `tid 1`), one process
 //! for the runtime's control plane, and one for the decode-side clients.
 //! Pipeline stages are `ph: "X"` complete events; admit/retire/cancel
 //! are global `ph: "i"` instants. Timestamps are microseconds since the
@@ -28,13 +28,13 @@ fn micros(nanos: u64) -> f64 {
     nanos as f64 / 1000.0
 }
 
-/// Shards with producer/worker threads in the report; the control and
-/// client processes get the pids just above.
+/// Shards with threads in the report; the control and client processes
+/// get the pids just above.
 fn worker_shards(report: &TraceReport) -> usize {
     report
         .threads
         .iter()
-        .filter(|thread| matches!(thread.lane, Lane::Producer | Lane::Worker))
+        .filter(|thread| matches!(thread.lane, Lane::Shard(_)))
         .map(|thread| thread.shard + 1)
         .max()
         .unwrap_or(0)
@@ -43,8 +43,7 @@ fn worker_shards(report: &TraceReport) -> usize {
 /// The Chrome `(pid, tid)` lane a thread renders into.
 fn pid_tid(thread: &ThreadTrace, shards: usize) -> (u64, u64) {
     match thread.lane {
-        Lane::Producer => (thread.shard as u64, 0),
-        Lane::Worker => (thread.shard as u64, 1),
+        Lane::Shard(index) => (thread.shard as u64, u64::from(index)),
         Lane::Control => (shards as u64, 0),
         // Clients carry their replay index in `shard`; it becomes the
         // tid inside one shared "clients" process.
@@ -72,15 +71,16 @@ pub fn chrome_trace_json(report: &TraceReport) -> Json {
         if !named_pids.contains(&pid) {
             named_pids.push(pid);
             let process = match thread.lane {
-                Lane::Producer | Lane::Worker => format!("shard {}", thread.shard),
+                Lane::Shard(_) => format!("shard {}", thread.shard),
                 Lane::Control => "control".to_string(),
                 Lane::Client => "clients".to_string(),
             };
             events.push(metadata_event("process_name", pid, 0, &process));
         }
         let label = match thread.lane {
+            Lane::Shard(index) => format!("thread {index}"),
             Lane::Client => format!("client {}", thread.shard),
-            lane => lane.name().to_string(),
+            Lane::Control => thread.lane.name().to_string(),
         };
         events.push(metadata_event("thread_name", pid, tid, &label));
         for event in &thread.events {
@@ -196,12 +196,12 @@ mod tests {
     fn sample_report() -> TraceReport {
         let epoch = TraceEpoch::now();
         let mut report = TraceReport::new(epoch);
-        let mut producer = Recorder::new(epoch, 8);
-        producer.span_nanos(Stage::Render, 0, 1, 0, 0, 2_000);
-        report.threads.push(producer.into_thread(0, Lane::Producer));
-        let mut worker = Recorder::new(epoch, 8);
-        worker.span_nanos(Stage::BdEncode, 2, 1, 0, 2_500, 1_500);
-        report.threads.push(worker.into_thread(0, Lane::Worker));
+        let mut first = Recorder::new(epoch, 8);
+        first.span_nanos(Stage::Render, 0, 1, 0, 0, 2_000);
+        report.threads.push(first.into_thread(0, Lane::Shard(0)));
+        let mut second = Recorder::new(epoch, 8);
+        second.span_nanos(Stage::BdEncode, 2, 1, 0, 2_500, 1_500);
+        report.threads.push(second.into_thread(0, Lane::Shard(1)));
         let mut control = Recorder::new(epoch, 8);
         control.mark(Marker::Admit, 0, 1);
         report.threads.push(control.into_thread(1, Lane::Control));
@@ -228,8 +228,10 @@ mod tests {
             r#""name":"control""#,
             r#""name":"clients""#,
             r#""name":"client 0""#,
-            r#""name":"render","cat":"render","ph":"X","pid":0,"tid":0,"ts":0,"dur":2"#,
-            r#""name":"bd_encode","cat":"encode","ph":"X","pid":0,"tid":1,"ts":2.5,"dur":1.5"#,
+            r#""name":"thread 0""#,
+            r#""name":"thread 1""#,
+            r#""name":"render","cat":"shard","ph":"X","pid":0,"tid":0,"ts":0,"dur":2"#,
+            r#""name":"bd_encode","cat":"shard","ph":"X","pid":0,"tid":1,"ts":2.5,"dur":1.5"#,
             r#""name":"decode","cat":"client","ph":"X","pid":2,"tid":0"#,
             r#""name":"admit","cat":"control","ph":"i","s":"g","pid":1,"tid":0"#,
         ] {

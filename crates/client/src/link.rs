@@ -1,4 +1,4 @@
-//! Deterministic link simulation between a shard worker and a headset.
+//! Deterministic link simulation between a shard and a headset.
 //!
 //! The model is a single serialized pipe per session: frame `i` is
 //! offered to the link at its send slot `i / refresh_hz`, transmission

@@ -157,8 +157,8 @@ impl SyntheticModelParams {
 
 /// Analytic stand-in for the psychophysically measured discrimination model.
 ///
-/// See the module documentation and DESIGN.md (substitution S1) for how it
-/// relates to the paper's RBF model.
+/// See the module documentation and `docs/ARCHITECTURE.md` (substitution
+/// S1) for how it relates to the paper's RBF model.
 ///
 /// # Examples
 ///

@@ -12,7 +12,7 @@
 //! ellipsoids perturbs the green and blue channels together while leaving
 //! red nearly untouched — whereas the other reading couples green and blue
 //! with opposite signs. The discrepancy and its consequences are documented
-//! in DESIGN.md (substitution S1).
+//! in `docs/ARCHITECTURE.md` (substitution S1).
 
 use crate::math::{Mat3, Vec3};
 use crate::srgb::LinearRgb;

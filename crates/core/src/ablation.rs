@@ -1,9 +1,10 @@
 //! Ablation studies over the encoder's design choices.
 //!
-//! DESIGN.md calls out three design decisions worth ablating: the choice of
-//! optimization axes (Blue and Red, per the paper's relaxation), the foveal
-//! bypass radius, and the overall scale of the discrimination model (the
-//! per-user calibration lever of Sec. 6.5). This module runs the encoder
+//! Three design decisions are worth ablating (`docs/ARCHITECTURE.md`,
+//! "Substitutions"): the choice of optimization axes (Blue and Red, per
+//! the paper's relaxation), the foveal bypass radius, and the overall
+//! scale of the discrimination model (the per-user calibration lever of
+//! Sec. 6.5). This module runs the encoder
 //! with each variant on the same frame so the contribution of each choice
 //! can be quantified; the `tab_ablation` binary in `pvc-bench` prints the
 //! resulting table.

@@ -281,7 +281,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
     /// packing) lives in `scratch`, so once the buffers are warm a
     /// sequential encoder performs **zero** steady-state allocation per
     /// frame. This is the per-frame hot path of a streaming session
-    /// (`pvc_stream` shard workers call it through
+    /// (`pvc_stream` shard threads call it through
     /// `BatchEncoder::encode_frame_stream_into`).
     ///
     /// # Panics
@@ -418,7 +418,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
 /// Buffers grow to the session's frame size on the first frame and are
 /// reused verbatim afterwards, so session lifetime — not frame count —
 /// bounds the allocations. One scratch may serve sessions of different
-/// frame sizes back to back (a shard worker does exactly that); buffers
+/// frame sizes back to back (a shard thread does exactly that); buffers
 /// simply warm up to the largest size seen.
 #[derive(Debug, Clone)]
 pub struct StreamScratch {
@@ -429,7 +429,7 @@ pub struct StreamScratch {
     gather: SrgbTileLanes,
     /// Reference-tile gather lanes for temporal encodes. Pure scratch —
     /// the bit-relevant previous frame lives in [`TemporalHistory`], so a
-    /// shard worker can keep sharing one scratch across all its sessions.
+    /// shard thread can keep sharing one scratch across all its sessions.
     reference_gather: SrgbTileLanes,
     timing: StageNanos,
 }

@@ -84,7 +84,7 @@ fn steady_state_stream_frames_do_not_allocate() {
     assert!(warmup_bytes > 0, "the warm-up must produce real bitstreams");
 
     // Measured steady state: the exact same frame/gaze schedule again,
-    // now recording the same spans a tracing shard worker records.
+    // now recording the same spans a tracing shard thread records.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut measured_bytes = 0usize;
     let mut frame_index = 0u32;

@@ -3,7 +3,7 @@
 //! The paper implements the Color Adjustment Unit (CAU) in RTL and
 //! synthesizes it with a TSMC 7 nm flow. Re-running an ASIC flow is outside
 //! the scope of this reproduction, so this crate provides analytical models
-//! parameterized with the paper's post-synthesis numbers (DESIGN.md,
+//! parameterized with the paper's post-synthesis numbers (`docs/ARCHITECTURE.md`,
 //! substitution S5):
 //!
 //! * [`CauConfig`] / [`CauModel`] — the PE array: cycle time, PE count

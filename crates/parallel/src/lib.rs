@@ -24,12 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gauge;
-pub mod queue;
-
-pub use gauge::Gauge;
-pub use queue::{bounded_queue, BoundedReceiver, BoundedSender, QueueClosed, QueueStats};
-
 /// Smallest number of items per worker for which spawning threads can pay
 /// off; below `threads * MIN_ITEMS_PER_THREAD` items the map runs inline.
 pub const MIN_ITEMS_PER_THREAD: usize = 2;

@@ -3,7 +3,7 @@
 //! The paper evaluates its encoder on six Unity VR scenes (office, fortnite,
 //! skyline, dumbo, thai, monkey) taken from a prior color-perception study.
 //! Those assets are not redistributable, so this crate generates synthetic
-//! frames with matching *qualitative* characteristics (DESIGN.md,
+//! frames with matching *qualitative* characteristics (`docs/ARCHITECTURE.md`,
 //! substitution S2): the bright, green-dominated "fortnite" scene; the dark
 //! "dumbo" and "monkey" scenes where artifacts are easiest to notice; the
 //! high-contrast "skyline"; the smooth indoor "office"; and the warm,

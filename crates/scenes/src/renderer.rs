@@ -7,7 +7,7 @@ use pvc_frame::{Dimensions, LinearFrame, SrgbFrame};
 /// Identifier of one of the six evaluation scenes.
 ///
 /// The names follow the paper's Fig. 10–15 so results can be compared
-/// side by side; the content is synthetic (DESIGN.md, substitution S2).
+/// side by side; the content is synthetic (`docs/ARCHITECTURE.md`, substitution S2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SceneId {
     /// Smooth indoor office: mid luminance, large flat surfaces.
@@ -180,8 +180,8 @@ impl SceneRenderer {
     /// the renderer's dimensions and overwriting every pixel.
     ///
     /// Bit-identical to [`Self::render_linear`]; the buffer's capacity is
-    /// reused, so a producer recycling frames through a pool renders
-    /// without per-frame allocation.
+    /// reused, so a shard thread rendering every frame into its own
+    /// buffer renders without per-frame allocation.
     pub fn render_linear_into(&self, index: u32, frame: &mut LinearFrame) {
         let dims = self.config.dimensions;
         // The loop below overwrites every pixel, so the fill only matters
@@ -452,9 +452,9 @@ mod tests {
 
     #[test]
     fn render_into_a_recycled_buffer_matches_a_fresh_render() {
-        // The frame pool hands producers buffers of arbitrary prior size
-        // and content; rendering into them must be bit-identical to a
-        // fresh render.
+        // A shard thread renders every session into one buffer of
+        // arbitrary prior size and content; rendering into it must be
+        // bit-identical to a fresh render.
         let r = SceneRenderer::new(SceneId::Thai, small_config());
         let mut recycled =
             LinearFrame::filled(Dimensions::new(7, 3), LinearRgb::new(0.9, 0.1, 0.5));

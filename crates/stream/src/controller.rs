@@ -202,10 +202,10 @@ pub struct ElasticController {
     counters: ElasticityCounters,
     overload_ticks: u32,
     /// The last rebalancing migration `(session, from, to)`. The load
-    /// gauges transfer only when the destination worker applies the
-    /// verb, so for a few ticks the planner sees a pre-migration
-    /// snapshot and would undo the move it just made; refusing the
-    /// exact reversal breaks that ping-pong.
+    /// counters move with the verb, but moving one heavy session can
+    /// itself flip [`plan_migration`]'s 2× skew, so the next tick would
+    /// plan the exact reverse move; refusing that reversal breaks the
+    /// ping-pong.
     last_migration: Option<(usize, usize, usize)>,
 }
 
@@ -498,9 +498,9 @@ mod tests {
         assert!(controller.tick().is_idle(), "one overloaded tick: patience");
         let actions = controller.tick();
         assert_eq!(actions.shed, Some(0), "two overloaded ticks: shed");
-        // The shed verb is asynchronous: the worker releases the victim's
-        // committed pixels when the downgrade lands, and only then can a
-        // tick promote the queued session.
+        // The shed verb lands once the victim's frame in flight is done
+        // and releases its committed pixels then; only then can a tick
+        // promote the queued session.
         for _ in 0..1_000 {
             if controller.committed_pixels() < vision_cost {
                 break;

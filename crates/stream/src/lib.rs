@@ -14,11 +14,11 @@
 //!   renders: resolution tier, per-eye size, frame budget, gaze model,
 //!   optional tile size). [`ResolutionTier`] and [`WorkloadMix`] provide
 //!   the standard tiers and synthetic population mixes ([`session`]).
-//! * [`StreamRuntime`] is the long-lived serving core: per-shard
-//!   producer/worker thread pairs spawned once at `start()`, sessions
-//!   admitted, gracefully retired or hard-cancelled
-//!   ([`StreamRuntime::retire_now`]) over control channels while frames
-//!   are in flight, bounded render→encode queues (backpressure), and
+//! * [`StreamRuntime`] is the long-lived serving core: two identical
+//!   threads per shard, spawned once at `start()`, each rendering,
+//!   encoding and emitting whole frames of the sessions in the shard's
+//!   ready FIFO; sessions admitted, gracefully retired or hard-cancelled
+//!   ([`StreamRuntime::retire_now`]) while frames are in flight; and
 //!   per-session / per-shard / per-tier / churn telemetry ([`runtime`]).
 //! * [`Placement`] policies decide which shard an admitted session lands
 //!   on: [`Static`] modulo routing or pixel-cost-aware [`LeastLoaded`] —
@@ -100,7 +100,7 @@
 //! use pvc_frame::Dimensions;
 //! use pvc_stream::{ServiceConfig, StreamService};
 //!
-//! // Four headsets, two shard workers, eight frames each.
+//! // Four headsets, two shards, eight frames each.
 //! let mut service = StreamService::new(ServiceConfig::default().with_shards(2));
 //! service.admit_synthetic(4, Dimensions::new(32, 32), 8);
 //!

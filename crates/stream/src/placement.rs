@@ -1,11 +1,11 @@
 //! Pluggable session→shard placement policies.
 //!
-//! When a session is admitted, the runtime must pick the shard worker that
+//! When a session is admitted, the runtime must pick the shard that
 //! will own it for its whole stream. Which shard that is never affects the
-//! session's encoded bits — each session is encoded in frame order by
-//! exactly one worker from its own config — it only affects *load*: how
-//! evenly sessions, their queued frames and (under heterogeneous profiles)
-//! their **pixels** spread across workers.
+//! session's encoded bits — each session is encoded in frame order, one
+//! frame at a time, from its own config — it only affects *load*: how
+//! evenly sessions and (under heterogeneous profiles) their **pixels**
+//! spread across shards.
 //!
 //! Two policies ship with the crate:
 //!
@@ -13,7 +13,7 @@
 //!   (`session_id % shards`). Fully deterministic and oblivious to load;
 //!   the baseline every determinism test pins against.
 //! * [`LeastLoaded`] — scans every shard and places the session on the
-//!   one with the lowest *pixel-weighted* [`ShardLoad::cost`], so a
+//!   one with the fewest committed [`ShardLoad::session_pixels`], so a
 //!   heterogeneous mix spreads by what its sessions cost rather than by
 //!   how many there are.
 //!
@@ -41,11 +41,8 @@ pub struct ShardLoad {
     /// rate in pixels per round-robin turn. Updated synchronously at
     /// admission, so back-to-back placements see each other.
     pub session_pixels: u64,
-    /// Pixels of rendered frames currently sitting in the render→encode
-    /// queue — the congestion signal, in pixels.
-    pub queued_pixels: u64,
     /// Expected remaining work: Σ over live sessions of `pixel_cost ×
-    /// frames not yet rendered`. Decays as producers render and is
+    /// frames not yet rendered`. Decays as shard threads render and is
     /// decommitted on cancel/migrate, so it predicts how long the shard
     /// stays busy rather than how busy it is right now.
     pub remaining_pixels: u64,
@@ -53,15 +50,6 @@ pub struct ShardLoad {
     /// finishes (or hands off) its current sessions but must not receive
     /// new ones. Every shipped policy skips draining shards.
     pub draining: bool,
-}
-
-impl ShardLoad {
-    /// The pixel-weighted load cost: committed session pixels plus queued
-    /// frame pixels. A Vision-class session weighs ~3.3× a Quest-2 one
-    /// instead of counting as one item.
-    pub fn cost(&self) -> u64 {
-        self.session_pixels + self.queued_pixels
-    }
 }
 
 /// A session→shard placement policy.
@@ -106,13 +94,14 @@ impl Placement for Static {
     }
 }
 
-/// Cost-aware placement: scan every shard, take the one with the lowest
-/// pixel-weighted [`ShardLoad::cost`] (ties break toward the lower shard
-/// index, so equal-load decisions are reproducible).
+/// Cost-aware placement: scan every shard, take the one with the fewest
+/// committed [`ShardLoad::session_pixels`] (ties break toward the lower
+/// shard index, so equal-load decisions are reproducible). A Vision-class
+/// session weighs ~3.3× a Quest-2 one instead of counting as one item.
 ///
 /// This is the policy that makes heterogeneous mixes balance: admitting a
 /// bimodal population, the expensive sessions spread by what they *cost*,
-/// not by how many they *are*. The full scan reads one gauge per shard —
+/// not by how many they *are*. The full scan reads one counter per shard —
 /// O(shards) per admission, irrelevant next to the cost of streaming a
 /// session.
 #[derive(Debug, Clone, Copy, Default)]
@@ -121,7 +110,7 @@ pub struct LeastLoaded;
 impl Placement for LeastLoaded {
     fn place(&mut self, _session_id: usize, _config: &SessionConfig, loads: &[ShardLoad]) -> usize {
         serving(loads)
-            .min_by_key(|load| (load.cost(), load.shard))
+            .min_by_key(|load| (load.session_pixels, load.shard))
             .expect("loads always has a serving shard")
             .shard
     }
@@ -179,15 +168,14 @@ mod tests {
     }
 
     /// Pixel-weighted loads (session counts left at zero).
-    fn pixel_loads(pixels: &[(u64, u64)]) -> Vec<ShardLoad> {
+    fn pixel_loads(pixels: &[u64]) -> Vec<ShardLoad> {
         pixels
             .iter()
             .enumerate()
-            .map(|(shard, &(session_pixels, queued_pixels))| ShardLoad {
+            .map(|(shard, &session_pixels)| ShardLoad {
                 shard,
                 sessions: 0,
                 session_pixels,
-                queued_pixels,
                 remaining_pixels: 0,
                 draining: false,
             })
@@ -207,7 +195,6 @@ mod tests {
                     // cost-aware placement and the migration planner agree on
                     // the ordering.
                     session_pixels: remaining_pixels,
-                    queued_pixels: 0,
                     remaining_pixels,
                     draining,
                 },
@@ -225,28 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn cost_sums_the_pixel_gauges() {
-        let load = ShardLoad {
-            shard: 0,
-            sessions: 3,
-            session_pixels: 4096,
-            queued_pixels: 1024,
-            remaining_pixels: 777,
-            draining: false,
-        };
-        assert_eq!(load.cost(), 5120, "cost ignores the item gauges");
-    }
-
-    #[test]
     fn least_loaded_picks_the_cheapest_shard_and_breaks_ties_low() {
         let mut policy = LeastLoaded;
-        let lopsided = pixel_loads(&[(4096, 0), (1024, 512), (8192, 0)]);
+        let lopsided = pixel_loads(&[4096, 1024, 8192]);
         assert_eq!(policy.place(0, &config(), &lopsided), 1);
-        let tied = pixel_loads(&[(2048, 0), (0, 2048), (2048, 1)]);
+        let tied = pixel_loads(&[2048, 2048, 2049]);
         assert_eq!(policy.place(1, &config(), &tied), 0, "tie → lower index");
     }
 
-    /// The pin for the pixel-weighted gauge: admit a bimodal mix to two
+    /// The pin for the pixel-weighted counter: admit a bimodal mix to two
     /// shards, replaying each policy's decisions against synthetically
     /// maintained loads. Session-count balancing (what an item-count score
     /// degenerates to here) alternates shards and collapses every
@@ -263,7 +237,7 @@ mod tests {
         // runtime does (synchronously at admission), and returns each
         // shard's committed pixels.
         let admit_all = |policy: &mut dyn Placement| -> Vec<u64> {
-            let mut shard_loads = pixel_loads(&[(0, 0), (0, 0)]);
+            let mut shard_loads = pixel_loads(&[0, 0]);
             for index in 0..8 {
                 let profile = if WorkloadMix::Bimodal.tier_for(index) == ResolutionTier::Quest2 {
                     small
@@ -280,7 +254,7 @@ mod tests {
 
         // Session-count balancing: place on the shard with fewer sessions
         // (ties low) — the degenerate behaviour of any item-count score
-        // when queues are empty. The bimodal alternation then routes every
+        // here. The bimodal alternation then routes every
         // Vision-class session to the same shard.
         struct CountBalancer;
         impl Placement for CountBalancer {

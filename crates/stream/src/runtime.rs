@@ -1,52 +1,55 @@
-//! The long-lived streaming runtime: persistent shard workers, dynamic
+//! The long-lived streaming runtime: persistent shard threads, dynamic
 //! session churn, pluggable placement.
 //!
 //! [`StreamRuntime`] is the serving core the batch-style
-//! [`crate::StreamService`] wraps. Where the batch service respawned its
-//! shard threads per `run()` and streamed a fixed roster to completion,
-//! the runtime spawns each shard's **producer** (scene rendering) and
-//! **worker** (encoding) thread once at [`StreamRuntime::start`] and keeps
-//! them alive until [`StreamRuntime::shutdown`]. In between, sessions are
+//! [`crate::StreamService`] wraps. It spawns each shard's two threads once
+//! at [`StreamRuntime::start`] and keeps them alive until
+//! [`StreamRuntime::shutdown`]. In between, sessions are
 //! [admitted](StreamRuntime::admit) and [retired](StreamRuntime::retire)
-//! dynamically over per-shard control channels while other sessions'
-//! frames are still in flight.
+//! dynamically while other sessions' frames are in flight.
 //!
 //! # Threading model
 //!
-//! Per shard, two threads connected by a bounded frame queue
-//! ([`pvc_parallel::bounded_queue`]):
+//! A shard is a mutex-guarded FIFO of ready sessions served by two
+//! identical threads. Each one loops: claim the session at the head of
+//! the FIFO, render its next frame into the thread's own buffer, encode it
+//! with the session's [`BatchEncoder`], emit it to the session's sinks,
+//! then return the session to the tail — or finalize it once its frame
+//! budget is spent.
 //!
 //! ```text
-//!            control channel (admit / cancel / retier / migrate / resume)
-//! runtime ──────────────────────────► producer thread
-//!                                        │ render, round-robin
-//!                                        ▼
-//!                              bounded frame queue
-//!                                        │ encode, in arrival order
-//!                                        ▼
-//! runtime ◄────────────────────────── worker thread
-//!            event channel (session reports, shard report)
+//!             admit / cancel / shed / migrate, under the shard lock
+//! runtime ──────────────────────────────┐
+//!                                       ▼
+//!                        ready FIFO  [A, B, C, …]
+//!                  claim head ┌─────────┴─────────┐ claim head
+//!                return tail  ▼                   ▼  return tail
+//!                    shard thread 0        shard thread 1
+//!               render → encode → emit   render → encode → emit
+//!                             │                   │
+//! runtime ◄───────────────────┴───────────────────┘
+//!            report channel (each session's final report)
 //! ```
 //!
-//! The producer owns each member session's renderer and gaze trace and
-//! interleaves sessions frame-major (A0 B0 A1 B1 …); the worker owns each
-//! member session's [`BatchEncoder`] and telemetry. A session's stream
-//! travels `Open → Frame×n → Close` through the queue (`Cancel` replaces
-//! `Close` when the session is hard-cancelled), so the worker learns about
-//! sessions in the exact order the producer committed to.
+//! Only one thread holds a session at a time, so its frames are encoded in
+//! order, and the return to the tail keeps the frame-major round-robin
+//! (A0 B0 A1 B1 …). The control verbs ([`StreamRuntime::retire_now`],
+//! [`StreamRuntime::shed`], [`StreamRuntime::migrate`]) act on a session
+//! under the shard lock once no thread holds it, so they wait at most one
+//! frame. The trade-off: a shard with a single live session keeps only one
+//! of its threads busy, rendering and encoding that session serially.
 //!
 //! # Steady-state allocation
 //!
-//! The per-frame path is allocation-free once warm. Rendered frames
-//! circulate in a small pool: the worker returns each encoded frame's
-//! buffer to the producer on a *recycle channel*, and the producer renders
-//! the next frame into it ([`pvc_scenes::SceneRenderer::render_linear_into`]).
-//! The worker keeps one [`StreamScratch`] (tile adjustment buffers,
-//! adjusted frame, bitstream writer) plus one bitstream buffer alive for
-//! its whole lifetime and encodes every session's frames through it
-//! ([`BatchEncoder::encode_frame_stream_into`]), so session churn — not
-//! frame count — bounds the shard's allocations. None of this moves a
-//! single encoded bit: the `alloc_regression` test in `pvc_core` pins the
+//! The per-frame path is allocation-free once warm. Each shard thread
+//! keeps one render buffer
+//! ([`pvc_scenes::SceneRenderer::render_linear_into`]), one
+//! [`StreamScratch`] (tile adjustment buffers, adjusted frame, bitstream
+//! writer) and one bitstream buffer alive for its whole lifetime, and runs
+//! every session's frames through them
+//! ([`BatchEncoder::encode_frame_stream_into`]). Session churn — not frame
+//! count — bounds the shard's allocations. None of this moves a single
+//! encoded bit: the `alloc_regression` test in `pvc_core` pins the
 //! zero-allocation property, the determinism tests here pin the bits.
 //!
 //! # Heterogeneous sessions
@@ -54,22 +57,21 @@
 //! Sessions need not look alike: each one carries its own
 //! [`SessionProfile`] (resolution tier, render
 //! size, frame budget, gaze model, optional tile size), and each shard
-//! maintains **pixel gauges** next to its item counters — committed
-//! session pixels and queued frame pixels — so cost-aware placement
-//! (e.g. [`crate::LeastLoaded`]) can weigh a Vision-class session as the
-//! ~3.3× load it actually is.
+//! keeps **pixel counters** next to its session count — committed session
+//! pixels and remaining pixels — so cost-aware placement (e.g.
+//! [`crate::LeastLoaded`]) can weigh a Vision-class session as the ~3.3×
+//! load it actually is.
 //!
 //! # Retirement: graceful vs hard-cancel
 //!
 //! [`StreamRuntime::retire`] is graceful — the session finishes its frame
 //! budget, so its stream is bit-identical to an uninterrupted run.
 //! [`StreamRuntime::retire_now`] models a user yanking the headset: the
-//! producer drops the session's not-yet-rendered frames and the final
-//! report comes back partial, flagged `cancelled`. Frames already
-//! rendered into the shard queue when the cancel lands are still encoded,
-//! so the cancelled session's own frame count is timing-dependent — but
-//! the *surviving* sessions' streams are not perturbed by a single bit
-//! (pinned by `tests/cancel_determinism.rs`).
+//! session stops after the frame in flight (if any), and the final report
+//! comes back partial, flagged `cancelled`. How many frames the cancelled
+//! session got is timing-dependent — but the *surviving* sessions' streams
+//! are not perturbed by a single bit (pinned by
+//! `tests/cancel_determinism.rs`).
 //!
 //! # Elasticity
 //!
@@ -88,17 +90,18 @@
 //! # Determinism
 //!
 //! A session's encoded stream is **bit-identical** regardless of shard
-//! count, placement policy, admission order, retirement timing, queue
-//! depth, or other sessions being hard-cancelled around it: it is encoded
-//! in frame order by exactly one worker, by an encoder built only from
-//! the session's own config. Placement and churn move *where* and *when*
-//! that happens — never *what* is produced. Migration preserves this
-//! (the whole stream stays bit-identical to the solo run), and a shed
-//! session's post-downgrade stream is bit-identical to a solo run started
-//! at the lower profile from the same frame index — both pinned by
-//! `tests/migration_determinism.rs`. Only wall-clock telemetry is
-//! machine- and timing-dependent, and only a hard-cancelled session's own
-//! stream *length* is timing-dependent (a prefix of its solo stream).
+//! count, placement policy, admission order, retirement timing, which of
+//! a shard's threads runs each frame, or other sessions being
+//! hard-cancelled around it: it is encoded in frame order, one frame at a
+//! time, by an encoder built only from the session's own config. Placement
+//! and churn move *where* and *when* that happens — never *what* is
+//! produced. Migration preserves this (the whole stream stays
+//! bit-identical to the solo run), and a shed session's post-downgrade
+//! stream is bit-identical to a solo run started at the lower profile from
+//! the same frame index — both pinned by `tests/migration_determinism.rs`.
+//! Only wall-clock telemetry is machine- and timing-dependent, and only a
+//! hard-cancelled session's own stream *length* is timing-dependent (a
+//! prefix of its solo stream).
 
 use crate::gaze::GazeTrace;
 use crate::placement::{Placement, ShardLoad, Static};
@@ -109,249 +112,78 @@ use crate::session::{
 use crate::wire::{DigestSink, FrameSink, WireSessionHeader, WireSink, WireTierChange};
 use pvc_color::{LinearRgb, SyntheticDiscriminationModel};
 use pvc_core::{BatchCacheStats, BatchEncoder, StreamScratch};
-use pvc_fovea::{DisplayGeometry, GazePoint};
+use pvc_fovea::DisplayGeometry;
 use pvc_frame::{Dimensions, LinearFrame};
 use pvc_metrics::{ChurnCounters, ElasticityCounters, TemporalTotals, ThroughputReport};
-use pvc_parallel::{bounded_queue, BoundedReceiver, BoundedSender, Gauge, QueueStats};
 use pvc_scenes::{SceneConfig, SceneRenderer};
 use pvc_trace::{Lane, Marker, Recorder, Stage, ThreadTrace, TraceEpoch, TraceReport, CLASS_OTHER};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the runtime's blocking event waits wake up to check shard
-/// thread health. The runtime retains an event sender (so it can spawn
+/// How often the runtime's blocking report waits wake up to check shard
+/// thread health. The runtime retains a report sender (so it can spawn
 /// shards later), which means the channel never closes on its own — a
 /// shard thread panicking is detected by polling
 /// [`JoinHandle::is_finished`] on this cadence instead.
 const EVENT_POLL: Duration = Duration::from_millis(25);
 
-/// Commands the runtime sends to a shard's producer thread.
-enum ShardControl {
-    /// Take ownership of a session and start streaming its frames.
-    Admit { id: usize, config: SessionConfig },
-    /// Hard-cancel a member session: stop rendering its remaining frames
-    /// and have the worker finalize a partial, `cancelled` report. A
-    /// no-op if the session already finished its stream.
-    Cancel { id: usize },
-    /// Downgrade a member session to `profile` mid-stream (tier shed):
-    /// the producer re-derives its renderer and gaze trace from the new
-    /// profile and keeps streaming from the current frame index under the
-    /// new numbering. A no-op if the session already finished.
-    Retier { id: usize, profile: SessionProfile },
-    /// Evict a member session so the runtime can move it to another
-    /// shard: the producer stops rendering it and has the worker package
-    /// the session's in-progress state into a [`SessionCarry`]. Answered
-    /// with [`RuntimeEvent::Migrated`], or [`RuntimeEvent::MigrateRefused`]
-    /// when the session is no longer a member (its stream completed).
-    Migrate { id: usize },
-    /// Adopt a session mid-stream on this shard, continuing exactly where
-    /// the carry's `frames_done` says its previous shard stopped.
-    Resume { id: usize, carry: Box<SessionCarry> },
-    /// Finish every member session's remaining frames, then exit.
-    Shutdown,
-}
+/// Threads per shard. Both run [`run_shard_thread`]; the count is fixed,
+/// and it is the thread budget a fleet sizes its shard count for
+/// (`available_threads / 2` shards saturate the machine).
+pub(crate) const THREADS_PER_SHARD: u8 = 2;
 
-/// One message travelling through a shard's render→encode queue.
+/// One live session: its config, the render side (renderer, gaze trace)
+/// and the encode side (encoder, report, sinks) derived from it.
 ///
-/// A session's lifetime on the queue is `Open`, then its frames in order,
-/// then `Close` (or `Cancel` for a hard-cancelled session) — all emitted
-/// by the single producer, so the worker sees them in exactly that order.
-enum ShardJob {
-    /// The worker should create the session's encoder and report.
-    Open { id: usize, config: SessionConfig },
-    /// One rendered frame to encode.
-    Frame {
-        id: usize,
-        frame: LinearFrame,
-        gaze: GazePoint,
-        /// When the producer handed the frame to the queue; the worker's
-        /// dequeue-minus-this is the queue-wait stage. Always stamped
-        /// (one clock read) — timing never steers any encoded bit.
-        enqueued: Instant,
-    },
-    /// The session's last frame has been sent; finalize its report.
-    Close { id: usize },
-    /// The session was hard-cancelled; finalize its partial report with
-    /// the `cancelled` flag set. No further frames for the id follow.
-    Cancel { id: usize },
-    /// The session was downgraded to `config`'s profile. Travels through
-    /// the queue *behind* every frame rendered under the old profile, so
-    /// the worker rebuilds the encoder at exactly the right frame index
-    /// and stamps a tier-change record into the wire stream there.
-    Retier { id: usize, config: SessionConfig },
-    /// The session is leaving this shard: package its in-progress state
-    /// into a [`SessionCarry`] and hand it back to the runtime. `config`
-    /// and `next` are the producer's authoritative session config (post
-    /// any retier) and next-frame index.
-    Migrate {
-        id: usize,
-        config: SessionConfig,
-        next: u32,
-    },
-    /// The session is arriving on this shard mid-stream; rebuild its
-    /// worker state from the carry. No further `Open` follows.
-    Resume { id: usize, carry: Box<SessionCarry> },
-}
-
-/// A mid-stream session's portable state, packaged by the source shard's
-/// worker on [`ShardJob::Migrate`] and rebuilt by the destination on
-/// [`ShardJob::Resume`].
-///
-/// The encoder itself is *not* carried: it is rebuilt fresh from `config`
-/// on the destination, which is bit-safe because the encoder's
-/// eccentricity-map cache only ever changes where intermediates live —
-/// never an emitted bit. What must survive the hop is everything
-/// cumulative: the report (throughput, digests folded so far), the frame
-/// sinks (digest chain state, collected wire bytes), and the cache/shard
-/// accounting baselines.
-struct SessionCarry {
-    /// The session's config as of the migration (reflects any tier shed).
-    config: SessionConfig,
-    /// Frames fully rendered and encoded before the hop; the destination
-    /// producer resumes at this index.
-    frames_done: u32,
-    /// The in-progress report (throughput counters, downgrade stamps).
-    report: SessionReport,
-    /// The digest sink mid-chain; folding continues seamlessly.
-    digest: DigestSink,
-    /// The wire sink mid-stream, when collection is on.
-    wire: Option<WireSink>,
-    /// Encode-start instant of the session's first frame (on any shard).
-    first_frame: Option<Instant>,
-    /// Cache counters accumulated by every *previous* encoder incarnation
-    /// (retiers and earlier hops); the final report sums these with the
-    /// last encoder's own stats.
-    carried_cache: BatchCacheStats,
-    /// Frames/pixels already attributed to previous shards' reports, so
-    /// the finalizing shard only claims its own share.
-    counted_frames: u64,
-    counted_pixels: u64,
-}
-
-/// What shard threads report back to the runtime.
-enum RuntimeEvent {
-    /// A session's stream completed; here is its final report.
-    SessionDone(SessionReport),
-    /// A shard worker exited (after queue drain); here is its telemetry.
-    ShardDone(ShardReport),
-    /// A session's state left its source shard (response to
-    /// [`ShardControl::Migrate`]); the runtime re-places it.
-    Migrated { id: usize, carry: Box<SessionCarry> },
-    /// The migration target session had already completed; its report
-    /// arrives (or arrived) as a normal [`RuntimeEvent::SessionDone`].
-    MigrateRefused { id: usize },
-}
-
-/// A session as the producer thread sees it: config plus the deterministic
-/// render-side machinery rebuilt from it.
-struct ProducerSession {
+/// Between frames it waits in its shard's ready FIFO; while a frame is in
+/// flight exactly one shard thread holds it. Every control verb acts on it
+/// only while it waits, under the shard lock.
+struct Session {
     id: usize,
     config: SessionConfig,
     renderer: SceneRenderer,
     trace: GazeTrace,
-    /// Next frame index to render.
-    next: u32,
-    /// Whether `Open` (or `Resume`) has been sent ahead of the first frame.
-    opened: bool,
-    /// Carried state awaiting delivery to the worker: present between a
-    /// [`ShardControl::Resume`] and the lazy [`ShardJob::Resume`] send.
-    carry: Option<Box<SessionCarry>>,
-}
-
-impl ProducerSession {
-    fn admit(id: usize, config: SessionConfig) -> ProducerSession {
-        let renderer = SceneRenderer::new(
-            config.scene,
-            SceneConfig::new(config.dimensions()).with_seed(config.seed),
-        );
-        let trace = GazeTrace::synthesize(
-            &config.gaze_model(),
-            config.dimensions(),
-            config.seed ^ GAZE_SEED_SALT,
-            config.frames() as usize,
-        );
-        ProducerSession {
-            id,
-            config,
-            renderer,
-            trace,
-            next: 0,
-            opened: false,
-            carry: None,
-        }
-    }
-
-    /// Rebuilds the render side of a migrated session. The renderer and
-    /// gaze trace are pure functions of the config, and
-    /// `render_linear_into(t, ..)` depends only on `t` — so resuming at
-    /// `frames_done` produces exactly the frames the solo run would have.
-    fn resume(id: usize, carry: Box<SessionCarry>) -> ProducerSession {
-        let mut session = ProducerSession::admit(id, carry.config.clone());
-        session.next = carry.frames_done;
-        session.carry = Some(carry);
-        session
-    }
-}
-
-/// Sends the session's first queue message (`Open` for a fresh session,
-/// `Resume` for a migrated one) if it has not been sent yet. Every path
-/// that enqueues anything for the session goes through this first, so the
-/// worker always learns about a session before its frames/cancel/migrate.
-///
-/// Returns `Err` when the worker is gone (queue closed).
-fn send_first(session: &mut ProducerSession, jobs: &BoundedSender<ShardJob>) -> Result<(), ()> {
-    if session.opened {
-        return Ok(());
-    }
-    session.opened = true;
-    let job = match session.carry.take() {
-        Some(carry) => ShardJob::Resume {
-            id: session.id,
-            carry,
-        },
-        None => ShardJob::Open {
-            id: session.id,
-            config: session.config.clone(),
-        },
-    };
-    jobs.send(job).map_err(|_| ())
-}
-
-/// A session as the worker thread sees it: encoder plus telemetry plus
-/// the sinks its encoded frames are emitted through.
-struct WorkerSession {
     encoder: BatchEncoder<SyntheticDiscriminationModel>,
     report: SessionReport,
     /// The telemetry sink (digest chain, optional payload collection).
     digest: DigestSink,
     /// The serving sink (framed wire stream), when collection is on.
     wire: Option<WireSink>,
-    /// The session's per-frame pixel cost, released from the shard's
-    /// committed-pixels gauge when the session finalizes.
-    frame_pixels: u64,
-    /// Encode-start instant of the session's first frame; per-session
-    /// wall-clock runs from here to the end of the last frame's encode.
+    /// Encode-start instant of the session's first frame (on any shard);
+    /// per-session wall-clock runs from here to the end of the last
+    /// frame's encode.
     first_frame: Option<Instant>,
-    /// The session tier's trace class (`ResolutionTier::class_index`),
-    /// keying its spans into the per-tier stage tables.
-    class: u8,
-    /// Cache counters from previous encoder incarnations (tier sheds
-    /// rebuild the encoder in place; migrations carry these across
-    /// shards). Summed with the live encoder's stats at finalization.
+    /// Cache counters from previous encoder incarnations (tier sheds and
+    /// migrations rebuild the encoder). Summed with the live encoder's
+    /// stats at finalization.
     carried_cache: BatchCacheStats,
-    /// Frames/pixels already attributed to previous shards' reports.
-    counted_frames: u64,
-    counted_pixels: u64,
+}
+
+/// The render side of a session: renderer and gaze trace, both pure
+/// functions of the config. `render_linear_into(t, ..)` depends only on
+/// `t`, so a session rebuilt at any frame index renders exactly the frames
+/// a solo run would.
+fn render_side(config: &SessionConfig) -> (SceneRenderer, GazeTrace) {
+    let renderer = SceneRenderer::new(
+        config.scene,
+        SceneConfig::new(config.dimensions()).with_seed(config.seed),
+    );
+    let trace = GazeTrace::synthesize(
+        &config.gaze_model(),
+        config.dimensions(),
+        config.seed ^ GAZE_SEED_SALT,
+        config.frames() as usize,
+    );
+    (renderer, trace)
 }
 
 /// Builds a session's encoder from the service config plus the session
 /// profile's overrides, returning it with the effective tile size (which
-/// the wire header / tier-change record reports). Called at open, resume
-/// and retier — always from the session's *current* config, never from
-/// carried state, so every incarnation is a pure function of the config.
+/// the wire header / tier-change record reports). Called at open, shed
+/// and migration — always from the session's *current* config, so every
+/// incarnation is a pure function of the config.
 fn encoder_for(
     service: &ServiceConfig,
     config: &SessionConfig,
@@ -372,7 +204,7 @@ fn encoder_for(
 }
 
 /// Sums cache counters across encoder incarnations (see
-/// [`WorkerSession::carried_cache`]).
+/// [`Session::carried_cache`]).
 fn merge_cache(mut base: BatchCacheStats, current: BatchCacheStats) -> BatchCacheStats {
     base.hits += current.hits;
     base.misses += current.misses;
@@ -380,9 +212,26 @@ fn merge_cache(mut base: BatchCacheStats, current: BatchCacheStats) -> BatchCach
     base
 }
 
-impl WorkerSession {
-    fn open(id: usize, shard: usize, service: &ServiceConfig, config: &SessionConfig) -> Self {
-        let (encoder, tile_size) = encoder_for(service, config);
+/// What one frame cost its shard thread, folded into the shard's
+/// counters when the session is handed back.
+struct FrameCost {
+    pixels: u64,
+    render_nanos: u64,
+    encode_nanos: u64,
+}
+
+/// A shard thread's own buffers, reused for every frame it runs.
+struct ThreadBuffers {
+    frame: LinearFrame,
+    scratch: StreamScratch,
+    bitstream: Vec<u8>,
+}
+
+impl Session {
+    /// Opens a fresh session on `shard` and writes its wire header.
+    fn open(id: usize, shard: usize, service: &ServiceConfig, config: SessionConfig) -> Box<Self> {
+        let (encoder, tile_size) = encoder_for(service, &config);
+        let (renderer, trace) = render_side(&config);
         let header = WireSessionHeader {
             session: id as u64,
             tier: config.profile.tier,
@@ -391,8 +240,8 @@ impl WorkerSession {
             tile_size,
             frame_budget: config.frames(),
         };
-        let mut session = WorkerSession {
-            encoder,
+        let mut session = Box::new(Session {
+            id,
             report: SessionReport {
                 session: id,
                 scene: config.scene,
@@ -408,58 +257,35 @@ impl WorkerSession {
                 downgraded_from: None,
                 downgrade_frame: None,
             },
+            config,
+            renderer,
+            trace,
+            encoder,
             digest: DigestSink::new(service.collect_payloads),
             wire: service.collect_wire.then(WireSink::new),
-            frame_pixels: config.pixel_cost(),
             first_frame: None,
-            class: config.profile.tier.class_index(),
             carried_cache: BatchCacheStats::default(),
-            counted_frames: 0,
-            counted_pixels: 0,
-        };
+        });
         for sink in session.sinks() {
             sink.start(&header);
         }
         session
     }
 
-    /// Rebuilds a migrated session's worker state from its carry: fresh
-    /// encoder (bit-safe — the cache affects performance, never bits),
-    /// carried-over report, sinks and accounting baselines. Emits no
-    /// header: the source shard already wrote it, and the carried sinks
-    /// hold it.
-    fn resume(shard: usize, service: &ServiceConfig, carry: SessionCarry) -> Self {
-        let SessionCarry {
-            config,
-            frames_done,
-            mut report,
-            digest,
-            wire,
-            first_frame,
-            carried_cache,
-            counted_frames,
-            counted_pixels,
-        } = carry;
-        let (mut encoder, _tile_size) = encoder_for(service, &config);
-        // Seed the temporal frame counter at the resume point. The fresh
-        // encoder's reference history is empty, so the first post-hop frame
-        // is an intra refresh regardless of the keyframe schedule — which
-        // keeps the stream decodable and the keyframe schedule a pure
-        // function of the absolute frame index, exactly like a solo run's.
-        encoder.set_next_frame_index(frames_done);
-        report.shard = shard;
-        WorkerSession {
-            encoder,
-            report,
-            digest,
-            wire,
-            frame_pixels: config.pixel_cost(),
-            first_frame,
-            class: config.profile.tier.class_index(),
-            carried_cache,
-            counted_frames,
-            counted_pixels,
-        }
+    /// The index of the next frame to render and encode: every frame so
+    /// far was encoded exactly once, in order.
+    fn next_frame(&self) -> u32 {
+        self.report.throughput.frames as u32
+    }
+
+    /// Whether the frame budget is spent.
+    fn finished(&self) -> bool {
+        self.next_frame() >= self.config.frames()
+    }
+
+    /// The pixels the session is still due to render.
+    fn remaining_pixels(&self) -> u64 {
+        self.config.pixel_cost() * u64::from(self.config.frames().saturating_sub(self.next_frame()))
     }
 
     /// The session's frame sinks: telemetry first, then (when enabled)
@@ -467,6 +293,443 @@ impl WorkerSession {
     fn sinks(&mut self) -> impl Iterator<Item = &mut dyn FrameSink> {
         std::iter::once(&mut self.digest as &mut dyn FrameSink)
             .chain(self.wire.iter_mut().map(|sink| sink as &mut dyn FrameSink))
+    }
+
+    /// Renders, encodes and emits the session's next frame through the
+    /// calling thread's buffers.
+    ///
+    /// With tracing on, the frame contributes render, adjust, gamma and
+    /// BD-encode spans (the encode sub-stages come from the scratch's
+    /// [`StreamScratch::last_timing`] breakdown, chained from the encode
+    /// start — the gaze-map lookup before adjust is untraced) plus a
+    /// wire-emit span around the sink fan-out. All of it is clock reads
+    /// and integer stores: no allocation, no encoded-bit drift.
+    fn run_frame(
+        &mut self,
+        buffers: &mut ThreadBuffers,
+        mut recorder: Option<&mut Recorder>,
+    ) -> FrameCost {
+        let index = self.next_frame();
+        let class = self.config.profile.tier.class_index();
+        let pixels = self.config.pixel_cost();
+        let render_start = Instant::now();
+        self.renderer.render_linear_into(index, &mut buffers.frame);
+        let render_nanos = render_start.elapsed().as_nanos() as u64;
+        let encode_start = Instant::now();
+        let first_frame = *self.first_frame.get_or_insert(encode_start);
+        let stats = self.encoder.encode_frame_stream_into(
+            &buffers.frame,
+            self.trace.samples()[index as usize],
+            &mut buffers.scratch,
+            &mut buffers.bitstream,
+        );
+        let encode_nanos = encode_start.elapsed().as_nanos() as u64;
+        let report = &mut self.report;
+        report.temporal.record_frame(
+            stats.temporal.keyframe,
+            stats.temporal.skip_tiles,
+            stats.temporal.delta_tiles,
+            stats.temporal.intra_tiles,
+            stats.temporal.bits,
+            stats.temporal.intra_bits,
+        );
+        report.throughput.record_frame_bits(
+            stats.compression.uncompressed_bits,
+            buffers.bitstream.len() as u64,
+            pixels,
+        );
+        // Per-session wall-clock: first frame's encode start to the
+        // latest frame's encode end. Refreshed every frame so the final
+        // value lands on the last frame without needing one.
+        report.throughput.wall_seconds = first_frame.elapsed().as_secs_f64();
+        let session = self.id as u64;
+        if let Some(recorder) = recorder.as_deref_mut() {
+            let render_at = recorder.epoch().nanos_since(render_start);
+            recorder.span_nanos(
+                Stage::Render,
+                class,
+                session,
+                index,
+                render_at,
+                render_nanos,
+            );
+            record_encode_spans(
+                recorder,
+                class,
+                session,
+                index,
+                encode_start,
+                buffers.scratch.last_timing(),
+            );
+        }
+        let emit_start = Instant::now();
+        let keyframe = stats.temporal.keyframe;
+        for sink in self.sinks() {
+            sink.frame(index, keyframe, &buffers.bitstream);
+        }
+        if let Some(recorder) = recorder {
+            recorder.span(Stage::WireEmit, class, session, index, emit_start);
+        }
+        FrameCost {
+            pixels,
+            render_nanos,
+            encode_nanos,
+        }
+    }
+
+    /// Downgrades the session to `profile` at its current frame index
+    /// (tier shed): re-derives renderer, gaze trace and encoder from the
+    /// new profile and stamps a tier-change record into its sinks.
+    fn retier(&mut self, service: &ServiceConfig, profile: SessionProfile) {
+        let index = self.next_frame();
+        self.config = self.config.clone().with_profile(profile);
+        (self.renderer, self.trace) = render_side(&self.config);
+        self.carried_cache = merge_cache(self.carried_cache, self.encoder.cache_stats());
+        let (mut encoder, tile_size) = encoder_for(service, &self.config);
+        // The shed rebuild clears the temporal reference (the old tier's
+        // frames have a different geometry anyway), so the first
+        // lower-tier frame is an intra refresh; seeding the frame counter
+        // keeps the keyframe schedule aligned with a solo run at the lower
+        // tier from this index on.
+        encoder.set_next_frame_index(index);
+        self.encoder = encoder;
+        // Only the first downgrade is "from" anything the client did not
+        // already know about.
+        let old_tier = self.report.tier;
+        self.report.downgraded_from.get_or_insert(old_tier);
+        self.report.tier = profile.tier;
+        self.report.downgrade_frame = Some(index);
+        let change = WireTierChange {
+            frame_index: index,
+            tier: profile.tier,
+            width: profile.dimensions.width,
+            height: profile.dimensions.height,
+            tile_size,
+            frame_budget: profile.frames,
+        };
+        for sink in self.sinks() {
+            sink.tier_change(&change);
+        }
+    }
+
+    /// Re-homes a migrating session on `shard`: a fresh encoder from the
+    /// config (bit-safe — the eccentricity-map cache changes where
+    /// intermediates live, never an emitted bit), while the report, the
+    /// sinks mid-chain and the render side travel along unchanged.
+    fn rehome(&mut self, shard: usize, service: &ServiceConfig) {
+        self.carried_cache = merge_cache(self.carried_cache, self.encoder.cache_stats());
+        let (mut encoder, _tile_size) = encoder_for(service, &self.config);
+        // Seed the temporal frame counter at the resume point. The fresh
+        // encoder's reference history is empty, so the first post-hop
+        // frame is an intra refresh regardless of the keyframe schedule —
+        // which keeps the stream decodable and the keyframe schedule a
+        // pure function of the absolute frame index, exactly like a solo
+        // run's.
+        encoder.set_next_frame_index(self.next_frame());
+        self.encoder = encoder;
+        self.report.shard = shard;
+    }
+
+    /// Seals the session's sinks and returns its final report.
+    fn finalize(mut self: Box<Self>, cancelled: bool) -> SessionReport {
+        for sink in self.sinks() {
+            sink.finish(cancelled);
+        }
+        let mut report = self.report;
+        report.cancelled = cancelled;
+        report.stream_digest = self.digest.digest();
+        report.payloads = self.digest.take_payloads();
+        report.wire_stream = self.wire.take().map(WireSink::into_bytes);
+        // Cache counters span every encoder incarnation (sheds,
+        // migrations); for a session that never changed tier or shard the
+        // carried part is zero and this is exactly the live encoder's
+        // stats.
+        report.cache = merge_cache(self.carried_cache, self.encoder.cache_stats());
+        report
+    }
+}
+
+/// Records the encode of one frame as adjust / gamma / BD-encode spans,
+/// chained end to end from the encode start via the scratch's sub-stage
+/// timing.
+fn record_encode_spans(
+    recorder: &mut Recorder,
+    class: u8,
+    session: u64,
+    frame: u32,
+    encode_start: Instant,
+    timing: pvc_core::StageNanos,
+) {
+    let adjust_at = recorder.epoch().nanos_since(encode_start);
+    recorder.span_nanos(
+        Stage::Adjust,
+        class,
+        session,
+        frame,
+        adjust_at,
+        timing.adjust,
+    );
+    let gamma_at = adjust_at + timing.adjust;
+    recorder.span_nanos(Stage::Gamma, class, session, frame, gamma_at, timing.gamma);
+    let bd_at = gamma_at + timing.gamma;
+    recorder.span_nanos(
+        Stage::BdEncode,
+        class,
+        session,
+        frame,
+        bd_at,
+        timing.bd_encode,
+    );
+}
+
+/// A shard's state, shared by its two threads and the runtime.
+#[derive(Default)]
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Signalled (to every waiter) whenever the FIFO, the held set or the
+    /// stop/failed flags change.
+    changed: Condvar,
+}
+
+/// Everything behind a shard's lock.
+#[derive(Default)]
+struct ShardState {
+    /// Sessions waiting for their next frame, in round-robin order.
+    ready: VecDeque<Box<Session>>,
+    /// Ids of the sessions a thread holds for a frame right now (at most
+    /// one per thread).
+    held: Vec<usize>,
+    /// Live sessions placed on the shard (waiting or held).
+    sessions: usize,
+    /// Sum of the live sessions' per-frame pixel costs.
+    session_pixels: u64,
+    /// Pixels the live sessions are still due to render.
+    remaining_pixels: u64,
+    /// Sessions that ever arrived (admitted or migrated in).
+    served: usize,
+    /// Frames and pixels encoded here, and the thread time spent
+    /// rendering and encoding them (summed over both threads).
+    frames: u64,
+    pixels: u64,
+    render_nanos: u64,
+    encode_nanos: u64,
+    /// The session a runtime verb is waiting for; threads do not claim
+    /// it.
+    wanted: Option<usize>,
+    /// Set by the runtime: the threads exit once no session is left.
+    stopping: bool,
+    /// Set when a shard thread panics: its sibling exits, and runtime
+    /// waits panic instead of blocking on a session nobody hands back.
+    failed: bool,
+    /// When the later of the two threads exited.
+    exited: Option<Instant>,
+}
+
+impl ShardState {
+    /// Adds (`arriving`) or removes a live session's weight in the load
+    /// counters.
+    fn count(&mut self, session: &Session, arriving: bool) {
+        let pixels = session.config.pixel_cost();
+        let remaining = session.remaining_pixels();
+        if arriving {
+            self.sessions += 1;
+            self.session_pixels += pixels;
+            self.remaining_pixels += remaining;
+        } else {
+            self.sessions -= 1;
+            self.session_pixels -= pixels;
+            self.remaining_pixels -= remaining;
+        }
+    }
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, ShardState>) -> MutexGuard<'a, ShardState> {
+        self.changed
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f` on the state under the lock, then wakes every waiter.
+    fn update<T>(&self, f: impl FnOnce(&mut ShardState) -> T) -> T {
+        let out = f(&mut self.lock());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Adds a session (admitted or migrated in) at the FIFO's tail.
+    fn insert(&self, session: Box<Session>) {
+        self.update(|state| {
+            state.count(&session, true);
+            state.served += 1;
+            state.ready.push_back(session);
+        });
+    }
+
+    /// Asks the threads to exit once every session has finished.
+    fn stop(&self) {
+        self.update(|state| state.stopping = true);
+    }
+
+    /// A thread's claim: the first session in the FIFO that the runtime is
+    /// not waiting for, blocking while there is none. `None` tells the
+    /// thread to exit: the shard is stopping and holds no session, or the
+    /// sibling thread panicked.
+    fn claim(&self) -> Option<Box<Session>> {
+        let mut state = self.lock();
+        loop {
+            if state.failed {
+                return None;
+            }
+            let wanted = state.wanted;
+            if let Some(position) = state
+                .ready
+                .iter()
+                .position(|session| Some(session.id) != wanted)
+            {
+                let session = state.ready.remove(position).expect("position is in range");
+                state.held.push(session.id);
+                return Some(session);
+            }
+            if state.stopping && state.held.is_empty() {
+                return None;
+            }
+            state = self.wait(state);
+        }
+    }
+
+    /// A thread hands a session back after `cost` (its frame, if it ran
+    /// one). Returns the session when its budget is spent, for the thread
+    /// to finalize outside the lock; otherwise it goes to the FIFO's tail.
+    fn release(&self, session: Box<Session>, cost: Option<FrameCost>) -> Option<Box<Session>> {
+        self.update(|state| {
+            state.held.retain(|&id| id != session.id);
+            if let Some(cost) = cost {
+                state.frames += 1;
+                state.pixels += cost.pixels;
+                state.render_nanos += cost.render_nanos;
+                state.encode_nanos += cost.encode_nanos;
+                state.remaining_pixels -= cost.pixels;
+            }
+            if session.finished() {
+                state.count(&session, false);
+                Some(session)
+            } else {
+                state.ready.push_back(session);
+                None
+            }
+        })
+    }
+
+    /// The runtime's wait for session `id` to be at rest: returns the lock
+    /// and the session's FIFO position once no thread holds it, or `None`
+    /// when it is no longer on the shard (its stream completed). While the
+    /// runtime waits, the session is `wanted`, so no thread claims it again
+    /// after handing it back: the wait lasts at most one frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread holding the session panicked.
+    fn at_rest(&self, id: usize) -> Option<(MutexGuard<'_, ShardState>, usize)> {
+        let mut state = self.lock();
+        loop {
+            if let Some(position) = state.ready.iter().position(|session| session.id == id) {
+                state.wanted = None;
+                return Some((state, position));
+            }
+            if !state.held.contains(&id) {
+                state.wanted = None;
+                return None;
+            }
+            state.wanted = Some(id);
+            assert!(
+                !state.failed,
+                "a shard thread panicked holding session {id} (see its panic output above)"
+            );
+            state = self.wait(state);
+        }
+    }
+
+    /// Removes session `id` once it is at rest, releasing its load; `None`
+    /// when its stream already completed.
+    fn take(&self, id: usize) -> Option<Box<Session>> {
+        let (mut state, position) = self.at_rest(id)?;
+        let session = state.ready.remove(position).expect("position is in range");
+        state.count(&session, false);
+        drop(state);
+        self.changed.notify_all();
+        Some(session)
+    }
+
+    /// Applies `f` to session `id` in place once it is at rest, with its
+    /// load re-counted around the change. Returns `false` when its stream
+    /// already completed.
+    fn modify(&self, id: usize, f: impl FnOnce(&mut Session)) -> bool {
+        let Some((mut state, position)) = self.at_rest(id) else {
+            return false;
+        };
+        let mut session = state.ready.remove(position).expect("position is in range");
+        state.count(&session, false);
+        f(&mut session);
+        state.count(&session, true);
+        state.ready.insert(position, session);
+        drop(state);
+        self.changed.notify_all();
+        true
+    }
+}
+
+/// Marks the shard failed if its thread unwinds, so the sibling thread
+/// exits and the runtime's waits panic instead of blocking.
+struct FailOnPanic<'a>(&'a Shard);
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.update(|state| state.failed = true);
+        }
+    }
+}
+
+/// One shard thread; both of a shard's threads run it. Loops claiming the
+/// head of the ready FIFO, running that session's next frame and handing
+/// it back, until [`Shard::claim`] says to exit. Finished sessions are
+/// finalized here and their reports sent to the runtime.
+///
+/// The thread's [`ThreadBuffers`] serve every session it ever runs a frame
+/// of: they only change *where* intermediates live (never a computed
+/// bit), so sharing them across heterogeneous sessions is safe — they
+/// simply warm up to the largest frame size the shard serves. Rendering
+/// overwrites every pixel of the reused frame.
+fn run_shard_thread(
+    shard: &Shard,
+    reports: &mpsc::Sender<SessionReport>,
+    mut tracing: Option<ShardTracing>,
+) {
+    let _fail_on_panic = FailOnPanic(shard);
+    let mut buffers = ThreadBuffers {
+        frame: LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK),
+        scratch: StreamScratch::new(),
+        bitstream: Vec::new(),
+    };
+    while let Some(mut session) = shard.claim() {
+        let cost = (!session.finished()).then(|| {
+            session.run_frame(
+                &mut buffers,
+                tracing.as_mut().map(|tracing| &mut tracing.recorder),
+            )
+        });
+        if let Some(done) = shard.release(session, cost) {
+            reports.send(done.finalize(false)).ok();
+        }
+    }
+    shard.update(|state| state.exited = Some(Instant::now()));
+    if let Some(tracing) = tracing {
+        tracing.finish();
     }
 }
 
@@ -478,28 +741,34 @@ struct TracingSpec {
     sender: mpsc::Sender<ThreadTrace>,
 }
 
-/// One pipeline thread's tracing kit: its pre-allocated recorder plus the
+/// One shard thread's tracing kit: its pre-allocated recorder plus the
 /// way home for the sealed trace. Created on the runtime thread (all
-/// allocation up front), moved into the pipeline thread, sealed on exit.
+/// allocation up front), moved into the shard thread, sealed on exit.
 struct ShardTracing {
     shard: usize,
+    /// Which of the shard's threads; keeps the two trace lanes apart.
+    thread: u8,
     recorder: Recorder,
     out: mpsc::Sender<ThreadTrace>,
 }
 
 impl ShardTracing {
-    fn new(shard: usize, spec: &TracingSpec) -> ShardTracing {
+    fn new(shard: usize, thread: u8, spec: &TracingSpec) -> ShardTracing {
         ShardTracing {
             shard,
+            thread,
             recorder: Recorder::new(spec.epoch, spec.ring_capacity),
             out: spec.sender.clone(),
         }
     }
 
     /// Seals the recorder and ships the thread's trace to the runtime.
-    fn finish(self, lane: Lane) {
+    fn finish(self) {
         self.out
-            .send(self.recorder.into_thread(self.shard, lane))
+            .send(
+                self.recorder
+                    .into_thread(self.shard, Lane::Shard(self.thread)),
+            )
             .ok();
     }
 }
@@ -514,9 +783,9 @@ struct RuntimeTracing {
 }
 
 /// Where a migrating session should land: a caller-chosen shard, or
-/// wherever the placement policy puts it once the carry (and with it the
-/// session config) is back — used by [`StreamRuntime::drain_shard`], which
-/// flags the draining shard in the loads it hands the policy.
+/// wherever the placement policy puts it once the session is off its
+/// source — used by [`StreamRuntime::drain_shard`], which flags the
+/// draining shard in the loads it hands the policy.
 #[derive(Clone, Copy)]
 enum MigrateDest {
     Fixed(usize),
@@ -526,48 +795,103 @@ enum MigrateDest {
 /// Display order of lanes within a shard's group in the final report.
 fn lane_rank(lane: Lane) -> u8 {
     match lane {
-        Lane::Producer => 0,
-        Lane::Worker => 1,
-        Lane::Control => 2,
-        Lane::Client => 3,
+        Lane::Shard(thread) => thread,
+        Lane::Control => THREADS_PER_SHARD,
+        Lane::Client => THREADS_PER_SHARD + 1,
     }
 }
 
-/// The runtime's handle onto one shard's thread pair.
+/// The runtime's handle onto one shard: its shared state and threads.
+/// Dropping it (without [`ShardHandle::join`]) still stops the shard, so
+/// its threads finish their sessions and exit.
 struct ShardHandle {
     /// The shard's stable id: assigned at spawn, never reused. With
     /// dynamic spawn/drain the live handles are not necessarily
     /// contiguous, so placement and assignments speak in these ids, never
     /// in `Vec` positions.
     shard: usize,
-    control: mpsc::Sender<ShardControl>,
-    /// Sessions placed on the shard and not yet completed; incremented at
-    /// admission (so back-to-back placements see each other) and
-    /// decremented by the worker when a session finalizes.
-    sessions: Arc<AtomicUsize>,
-    /// Sum of the live sessions' per-frame pixel costs — the
-    /// pixel-weighted twin of `sessions`, maintained on the same schedule
-    /// (added at admission, released at finalization).
-    session_pixels: Gauge,
-    /// Pixels of rendered frames currently in the render→encode queue.
-    queued_pixels: Gauge,
-    /// Pixels the shard is still *due to render*: `pixel_cost ×
-    /// not-yet-rendered frames`, summed over members. Raised at admission
-    /// (and on migration arrival), lowered by the producer per rendered
-    /// frame and on cancel/retier/migrate — the signal the autoscaler and
-    /// the migration planner read.
-    remaining_pixels: Gauge,
-    producer: JoinHandle<()>,
-    worker: JoinHandle<()>,
+    state: Arc<Shard>,
+    started: Instant,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardHandle {
-    /// Sends a command to the shard's producer, which lives as long as the
-    /// handle is serving.
-    fn send(&self, command: ShardControl) {
-        if self.control.send(command).is_err() {
-            panic!("shard producer exited while the runtime is alive");
+    /// The shard's load as placement sees it.
+    fn load(&self) -> ShardLoad {
+        let state = self.state.lock();
+        ShardLoad {
+            shard: self.shard,
+            sessions: state.sessions,
+            session_pixels: state.session_pixels,
+            remaining_pixels: state.remaining_pixels,
+            draining: false,
         }
+    }
+
+    /// Whether either thread has exited — before a stop, only a panic
+    /// does that.
+    fn exited(&self) -> bool {
+        self.threads.iter().any(JoinHandle::is_finished)
+    }
+
+    /// Stops the shard, waits for its threads to finish every remaining
+    /// session and exit, and returns its telemetry.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a shard-thread panic.
+    fn join(mut self) -> ShardReport {
+        self.state.stop();
+        for thread in std::mem::take(&mut self.threads) {
+            thread.join().expect("shard thread panicked");
+        }
+        let state = self.state.lock();
+        let exited = state.exited.unwrap_or_else(Instant::now);
+        ShardReport {
+            shard: self.shard,
+            sessions: state.served,
+            frames: state.frames,
+            pixels: state.pixels,
+            busy_seconds: state.encode_nanos as f64 / 1e9,
+            render_seconds: state.render_nanos as f64 / 1e9,
+            wall_seconds: exited.duration_since(self.started).as_secs_f64(),
+            queue_stalls: 0,
+            queue_peak_depth: 0,
+        }
+    }
+}
+
+impl Drop for ShardHandle {
+    fn drop(&mut self) {
+        self.state.stop();
+    }
+}
+
+/// Spawns one shard's two threads. `shard` is the stable id they report
+/// as; the runtime calls this both at start and from
+/// [`StreamRuntime::spawn_shard`].
+fn spawn_shard_threads(
+    shard: usize,
+    reports: &mpsc::Sender<SessionReport>,
+    tracing: Option<&TracingSpec>,
+) -> ShardHandle {
+    let state = Arc::new(Shard::default());
+    let threads = (0..THREADS_PER_SHARD)
+        .map(|thread| {
+            let state = Arc::clone(&state);
+            let reports = reports.clone();
+            let tracing = tracing.map(|spec| ShardTracing::new(shard, thread, spec));
+            std::thread::Builder::new()
+                .name(format!("pvc-shard{shard}-{thread}"))
+                .spawn(move || run_shard_thread(&state, &reports, tracing))
+                .expect("spawning shard thread")
+        })
+        .collect();
+    ShardHandle {
+        shard,
+        state,
+        started: Instant::now(),
+        threads,
     }
 }
 
@@ -609,12 +933,12 @@ pub struct StreamRuntime {
     /// Live (serving) shards. Drained shards are removed; ids are stable
     /// and never reused, so positions here are *not* shard ids.
     shards: Vec<ShardHandle>,
-    events: mpsc::Receiver<RuntimeEvent>,
+    reports: mpsc::Receiver<SessionReport>,
     /// Retained so [`Self::spawn_shard`] can wire new shards into the
-    /// same event channel. Consequence: the channel never closes by
+    /// same report channel. Consequence: the channel never closes by
     /// itself; blocking waits poll shard thread health instead.
-    event_tx: mpsc::Sender<RuntimeEvent>,
-    /// Retained alongside `event_tx` so dynamically spawned shards join
+    report_tx: mpsc::Sender<SessionReport>,
+    /// Retained alongside `report_tx` so dynamically spawned shards join
     /// the same trace epoch and collection channel.
     tracing_spec: Option<TracingSpec>,
     /// Final reports of completed sessions awaiting pickup, keyed by id.
@@ -628,7 +952,8 @@ pub struct StreamRuntime {
     /// not lose them from the service-wide aggregate.
     totals: ThroughputReport,
     /// Shard telemetry, indexed by stable shard id (so it covers drained
-    /// shards too); filled in as workers exit during drain or shutdown.
+    /// shards too); filled in as shards are joined during drain or
+    /// shutdown.
     shard_reports: Vec<Option<ShardReport>>,
     /// Which shard each admitted session was placed on (updated by
     /// migration).
@@ -661,19 +986,17 @@ impl std::fmt::Debug for StreamRuntime {
 }
 
 impl StreamRuntime {
-    /// Spawns the shard thread pairs and returns the running (idle)
-    /// runtime. `placement` decides which shard each admitted session
-    /// lands on.
+    /// Spawns the shards' threads and returns the running (idle) runtime.
+    /// `placement` decides which shard each admitted session lands on.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards or queue depth.
+    /// Panics if the configuration has zero shards.
     pub fn start(config: ServiceConfig, placement: Box<dyn Placement>) -> StreamRuntime {
         assert!(config.shards > 0, "shard count must be non-zero");
-        assert!(config.queue_depth > 0, "queue depth must be non-zero");
-        let (event_tx, events) = mpsc::channel();
+        let (report_tx, reports) = mpsc::channel();
         // All tracing storage (rings, stage tables) is allocated here,
-        // before any pipeline thread runs a frame.
+        // before any shard thread runs a frame.
         let (spec, tracing) = match &config.trace {
             Some(trace) => {
                 let epoch = TraceEpoch::now();
@@ -694,9 +1017,9 @@ impl StreamRuntime {
             None => (None, None),
         };
         let shards: Vec<ShardHandle> = (0..config.shards)
-            .map(|shard| spawn_shard_threads(shard, &config, event_tx.clone(), spec.as_ref()))
+            .map(|shard| spawn_shard_threads(shard, &report_tx, spec.as_ref()))
             .collect();
-        // The runtime keeps `event_tx` and `spec` alive so shards spawned
+        // The runtime keeps `report_tx` and `spec` alive so shards spawned
         // later join the same channels; shard-thread health is therefore
         // detected by join-handle polling, not channel closure.
         let shard_reports = vec![None; config.shards];
@@ -705,8 +1028,8 @@ impl StreamRuntime {
             config,
             placement,
             shards,
-            events,
-            event_tx,
+            reports,
+            report_tx,
             tracing_spec: spec,
             completed: BTreeMap::new(),
             totals: ThroughputReport::default(),
@@ -738,29 +1061,18 @@ impl StreamRuntime {
     }
 
     /// Churn counters as of the runtime's latest bookkeeping. Completion
-    /// events are absorbed lazily, so `completed` may trail the shard
-    /// workers by a moment.
+    /// reports are absorbed lazily, so `completed` may trail the shard
+    /// threads by a moment.
     pub fn churn(&self) -> ChurnCounters {
         self.churn
     }
 
     /// Live load snapshots for every *serving* shard, as placement would
     /// see them: the session count, its pixel-weighted twin (committed
-    /// session pixels), queued frame pixels, and the remaining-work gauge.
-    /// Entries carry stable shard ids — after a drain they need not be
-    /// contiguous.
+    /// session pixels), and the remaining-work counter. Entries carry
+    /// stable shard ids — after a drain they need not be contiguous.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        self.shards
-            .iter()
-            .map(|handle| ShardLoad {
-                shard: handle.shard,
-                sessions: handle.sessions.load(Ordering::Relaxed),
-                session_pixels: handle.session_pixels.get(),
-                queued_pixels: handle.queued_pixels.get(),
-                remaining_pixels: handle.remaining_pixels.get(),
-                draining: false,
-            })
-            .collect()
+        self.shards.iter().map(ShardHandle::load).collect()
     }
 
     /// The handle of a serving shard, by stable id.
@@ -789,10 +1101,10 @@ impl StreamRuntime {
     }
 
     /// Ids of sessions admitted and not yet completed, in id order.
-    /// Completion events are absorbed first, so the answer is as fresh as
-    /// the workers' reporting.
+    /// Completion reports are absorbed first, so the answer is as fresh
+    /// as the shard threads' reporting.
     pub fn live_sessions(&mut self) -> Vec<usize> {
-        self.pump_events();
+        self.pump_reports();
         self.assignments
             .keys()
             .filter(|id| !self.retired.contains(id) && !self.completed.contains_key(id))
@@ -806,11 +1118,11 @@ impl StreamRuntime {
     }
 
     /// Admits a session: places it on a shard (via the placement policy's
-    /// view of live shard loads) and hands it to that shard's producer.
-    /// Returns the session id (admission index). Never blocks on frame
-    /// backpressure — the control channel is unbounded.
+    /// view of live shard loads) and appends it to that shard's ready
+    /// FIFO. Returns the session id (admission index). Never waits for a
+    /// frame to finish.
     pub fn admit(&mut self, config: SessionConfig) -> usize {
-        self.pump_events();
+        self.pump_reports();
         let id = self.next_id;
         self.next_id += 1;
         let loads = self.shard_loads();
@@ -820,19 +1132,16 @@ impl StreamRuntime {
             .iter()
             .find(|handle| handle.shard == shard)
             .unwrap_or_else(|| panic!("placement chose unknown shard {shard}"));
-        handle.sessions.fetch_add(1, Ordering::Relaxed);
-        // Commit the pixel weight synchronously with the session count so
-        // cost-aware placement sees back-to-back admissions too.
-        handle.session_pixels.add(config.pixel_cost());
-        handle
-            .remaining_pixels
-            .add(config.pixel_cost() * u64::from(config.frames()));
         if let Some(tracing) = self.tracing.as_mut() {
             tracing
                 .control
                 .mark(Marker::Admit, config.profile.tier.class_index(), id as u64);
         }
-        handle.send(ShardControl::Admit { id, config });
+        // The load counters rise with the insert, synchronously, so
+        // cost-aware placement sees back-to-back admissions.
+        handle
+            .state
+            .insert(Session::open(id, shard, &self.config, config));
         self.assignments.insert(id, shard);
         self.churn.record_admission();
         id
@@ -861,19 +1170,16 @@ impl StreamRuntime {
         self.await_completion(session)
     }
 
-    /// Hard-cancels a session: tells its shard to drop the session's
-    /// not-yet-rendered frames, blocks until the partial report arrives,
-    /// and returns it flagged [`cancelled`](SessionReport::cancelled).
-    /// Other sessions keep streaming throughout, and their encoded
-    /// streams are not perturbed by a single bit (pinned by
-    /// `tests/cancel_determinism.rs`).
+    /// Hard-cancels a session: takes it off its shard once the frame in
+    /// flight (if any) is done, and returns its partial report flagged
+    /// [`cancelled`](SessionReport::cancelled). Other sessions keep
+    /// streaming throughout, and their encoded streams are not perturbed
+    /// by a single bit (pinned by `tests/cancel_determinism.rs`).
     ///
     /// The cancelled stream is a *prefix* of the session's uninterrupted
-    /// stream: frames already rendered into the shard queue when the
-    /// cancel lands are still encoded, so how long the prefix is depends
-    /// on timing. A session that already finished its frame budget is
-    /// returned complete, with `cancelled` false — cancelling it was a
-    /// no-op.
+    /// stream, of timing-dependent length. A session that already
+    /// finished its frame budget is returned complete, with `cancelled`
+    /// false — cancelling it was a no-op.
     ///
     /// # Panics
     ///
@@ -886,8 +1192,11 @@ impl StreamRuntime {
                 .mark(Marker::Cancel, CLASS_OTHER, session as u64);
         }
         let shard = self.assignments[&session];
-        self.handle(shard)
-            .send(ShardControl::Cancel { id: session });
+        if let Some(taken) = self.handle(shard).state.take(session) {
+            let cancelled = !taken.finished();
+            let report = taken.finalize(cancelled);
+            self.absorb(report);
+        }
         self.await_completion(session)
     }
 
@@ -905,20 +1214,16 @@ impl StreamRuntime {
         self.churn.record_retirement();
     }
 
-    /// Blocks until the next event arrives, panicking if a serving shard
-    /// thread exits in the meantime (before shutdown, that can only mean
-    /// it panicked — the runtime holds an event sender, so the channel
-    /// itself never closes).
-    fn recv_event(&mut self) -> RuntimeEvent {
+    /// Blocks until the next session report arrives, panicking if a
+    /// serving shard thread exits in the meantime (before shutdown, that
+    /// can only mean it panicked — the runtime holds a report sender, so
+    /// the channel itself never closes).
+    fn recv_report(&mut self) -> SessionReport {
         loop {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => return event,
+            match self.reports.recv_timeout(EVENT_POLL) {
+                Ok(report) => return report,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(dead) = self
-                        .shards
-                        .iter()
-                        .find(|handle| handle.producer.is_finished() || handle.worker.is_finished())
-                    {
+                    if let Some(dead) = self.shards.iter().find(|handle| handle.exited()) {
                         panic!(
                             "shard {} thread exited while the runtime is alive \
                              (see the shard thread's panic output above)",
@@ -927,7 +1232,7 @@ impl StreamRuntime {
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the runtime holds an event sender")
+                    unreachable!("the runtime holds a report sender")
                 }
             }
         }
@@ -936,26 +1241,26 @@ impl StreamRuntime {
     /// Blocks until `session`'s final report arrives and hands it over.
     fn await_completion(&mut self, session: usize) -> SessionReport {
         loop {
-            self.pump_events();
+            self.pump_reports();
             if let Some(report) = self.completed.remove(&session) {
                 return report;
             }
-            let event = self.recv_event();
-            self.absorb(event);
+            let report = self.recv_report();
+            self.absorb(report);
         }
     }
 
     /// Blocks until every admitted session's stream has completed. The
     /// shard threads stay alive and ready for further admissions.
     pub fn drain(&mut self) {
-        self.pump_events();
+        self.pump_reports();
         while self.churn.in_flight() > 0 {
-            let event = self.recv_event();
-            self.absorb(event);
+            let report = self.recv_report();
+            self.absorb(report);
         }
     }
 
-    /// Spawns a fresh shard thread pair and returns its stable id.
+    /// Spawns a fresh shard (two threads) and returns its stable id.
     /// Placement sees it (initially empty) from the next admission on.
     /// Ids are never reused: after spawn/drain cycles the serving set need
     /// not be contiguous.
@@ -991,12 +1296,7 @@ impl StreamRuntime {
     pub fn spawn_shard(&mut self) -> usize {
         let shard = self.next_shard_index;
         self.next_shard_index += 1;
-        let handle = spawn_shard_threads(
-            shard,
-            &self.config,
-            self.event_tx.clone(),
-            self.tracing_spec.as_ref(),
-        );
+        let handle = spawn_shard_threads(shard, &self.report_tx, self.tracing_spec.as_ref());
         self.shards.push(handle);
         self.shard_reports.push(None);
         if let Some(tracing) = self.tracing.as_mut() {
@@ -1010,8 +1310,8 @@ impl StreamRuntime {
 
     /// Drains a shard out of the fleet: migrates its live sessions to the
     /// remaining shards (placed by the runtime's policy, which must not
-    /// pick the draining shard), winds down its thread pair, and returns
-    /// its telemetry. The report also stays in the final
+    /// pick the draining shard), winds down its threads, and returns its
+    /// telemetry. The report also stays in the final
     /// [`ServiceReport::shards`] under the shard's stable id.
     ///
     /// Migrated streams stay bit-identical to their solo runs — see
@@ -1044,51 +1344,28 @@ impl StreamRuntime {
             .iter()
             .position(|handle| handle.shard == shard)
             .expect("presence asserted above");
-        let handle = self.shards.remove(position);
-        handle.control.send(ShardControl::Shutdown).ok();
-        // Wait for the shard's final report (the worker sends it on exit).
-        while self.shard_reports[shard].is_none() {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => self.absorb(event),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if handle.worker.is_finished() {
-                        // Clean exits leave the report in the channel
-                        // buffer; a panic leaves nothing — either way the
-                        // joins below settle it.
-                        self.pump_events();
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the runtime holds an event sender")
-                }
-            }
-        }
-        handle.producer.join().expect("shard producer panicked");
-        handle.worker.join().expect("shard worker panicked");
+        let report = self.shards.remove(position).join();
+        self.shard_reports[shard] = Some(report.clone());
+        self.pump_reports();
         if let Some(tracing) = self.tracing.as_mut() {
             tracing
                 .control
                 .mark(Marker::ShardDrain, CLASS_OTHER, shard as u64);
         }
         self.elasticity.record_shard_drained();
-        self.shard_reports[shard].clone().unwrap_or(ShardReport {
-            shard,
-            ..ShardReport::default()
-        })
+        report
     }
 
     /// Migrates a live session to the serving shard `to`, blocking until
-    /// the hand-off completes. Returns `false` (without side effects) if
-    /// the session's stream already completed or `to` is its current
-    /// shard.
+    /// the hand-off completes (at most one frame). Returns `false`
+    /// (without side effects) if the session's stream already completed
+    /// or `to` is its current shard.
     ///
     /// The migrated stream is **bit-identical** to the session's solo
-    /// run: the source worker encodes exactly the frames its producer
-    /// rendered (the eviction travels the frame queue in order), the
-    /// destination rebuilds renderer, gaze trace and encoder purely from
-    /// the session config and resumes at the next frame index, and the
-    /// digest/wire sinks are carried mid-chain. The encoder cache is the
+    /// run: the session leaves its source between two frames, the
+    /// destination rebuilds its encoder purely from the session config and
+    /// continues at the next frame index, and the render side and the
+    /// digest/wire sinks travel along mid-chain. The encoder cache is the
     /// only state lost, and it never steers an encoded bit (pinned by
     /// `tests/migration_determinism.rs`).
     ///
@@ -1105,67 +1382,53 @@ impl StreamRuntime {
             self.assignments.contains_key(&session),
             "session {session} was never admitted"
         );
-        self.pump_events();
+        self.pump_reports();
         if self.retired.contains(&session) || self.completed.contains_key(&session) {
             return false;
         }
         let from = self.assignments[&session];
         if let MigrateDest::Fixed(to) = dest {
-            // Validate eagerly: the eviction is irrevocable once sent.
+            // Validate eagerly: the session is off its source once taken.
             let _ = self.handle(to);
             if to == from {
                 return false;
             }
         }
-        self.handle(from)
-            .send(ShardControl::Migrate { id: session });
-        loop {
-            match self.recv_event() {
-                RuntimeEvent::Migrated { id, carry } if id == session => {
-                    let to = match dest {
-                        MigrateDest::Fixed(to) => to,
-                        MigrateDest::Rebalance { draining } => {
-                            let mut loads = self.shard_loads();
-                            for load in &mut loads {
-                                if load.shard == draining {
-                                    load.draining = true;
-                                }
-                            }
-                            let to = self.placement.place(session, &carry.config, &loads);
-                            assert!(
-                                to != draining,
-                                "placement returned the draining shard {draining}"
-                            );
-                            to
-                        }
-                    };
-                    let handle = self.handle(to);
-                    handle.sessions.fetch_add(1, Ordering::Relaxed);
-                    handle.session_pixels.add(carry.config.pixel_cost());
-                    handle.remaining_pixels.add(
-                        carry.config.pixel_cost()
-                            * u64::from(carry.config.frames().saturating_sub(carry.frames_done)),
-                    );
-                    let class = carry.config.profile.tier.class_index();
-                    handle.send(ShardControl::Resume { id: session, carry });
-                    if let Some(tracing) = self.tracing.as_mut() {
-                        tracing.control.mark(Marker::Migrate, class, session as u64);
+        let Some(mut moving) = self.handle(from).state.take(session) else {
+            return false;
+        };
+        let to = match dest {
+            MigrateDest::Fixed(to) => to,
+            MigrateDest::Rebalance { draining } => {
+                let mut loads = self.shard_loads();
+                for load in &mut loads {
+                    if load.shard == draining {
+                        load.draining = true;
                     }
-                    self.assignments.insert(session, to);
-                    self.elasticity.record_migration();
-                    return true;
                 }
-                RuntimeEvent::MigrateRefused { id } if id == session => return false,
-                event => self.absorb(event),
+                let to = self.placement.place(session, &moving.config, &loads);
+                assert!(
+                    to != draining,
+                    "placement returned the draining shard {draining}"
+                );
+                to
             }
+        };
+        moving.rehome(to, &self.config);
+        let class = moving.config.profile.tier.class_index();
+        self.handle(to).state.insert(moving);
+        if let Some(tracing) = self.tracing.as_mut() {
+            tracing.control.mark(Marker::Migrate, class, session as u64);
         }
+        self.assignments.insert(session, to);
+        self.elasticity.record_migration();
+        true
     }
 
     /// Downgrades a live session to `profile` mid-stream (tier shed:
-    /// quality for throughput). Returns `false` if the session's stream
-    /// already completed. Does not block: the downgrade lands on the
-    /// shard threads asynchronously; the session's report will carry
-    /// [`SessionReport::downgraded_from`] and
+    /// quality for throughput), once the frame in flight (if any) is done.
+    /// Returns `false` if the session's stream already completed. The
+    /// session's report will carry [`SessionReport::downgraded_from`] and
     /// [`SessionReport::downgrade_frame`], and its wire stream a
     /// tier-change record at that frame.
     ///
@@ -1183,20 +1446,24 @@ impl StreamRuntime {
             self.assignments.contains_key(&session),
             "session {session} was never admitted"
         );
-        self.pump_events();
+        self.pump_reports();
         if self.retired.contains(&session) || self.completed.contains_key(&session) {
             return false;
         }
         let shard = self.assignments[&session];
+        let service = &self.config;
+        let shed = self
+            .handle(shard)
+            .state
+            .modify(session, |live| live.retier(service, profile));
+        if !shed {
+            return false;
+        }
         if let Some(tracing) = self.tracing.as_mut() {
             tracing
                 .control
                 .mark(Marker::Shed, profile.tier.class_index(), session as u64);
         }
-        self.handle(shard).send(ShardControl::Retier {
-            id: session,
-            profile,
-        });
         self.elasticity.record_shed();
         true
     }
@@ -1211,41 +1478,21 @@ impl StreamRuntime {
     ///
     /// Propagates panics from shard threads.
     pub fn shutdown(mut self) -> ServiceReport {
+        // Stop every shard first so they all wind down in parallel.
         for handle in &self.shards {
-            handle.control.send(ShardControl::Shutdown).ok();
+            handle.state.stop();
         }
-        let handles = std::mem::take(&mut self.shards);
-        let mut pending_shards = handles.len();
-        while pending_shards > 0 {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => {
-                    if matches!(event, RuntimeEvent::ShardDone(_)) {
-                        pending_shards -= 1;
-                    }
-                    self.absorb(event);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Workers send their report before exiting, so once
-                    // every worker is finished the reports (if any) are
-                    // already buffered. A report still missing after the
-                    // flush means a worker panicked: fall through to the
-                    // joins to surface it.
-                    if handles.iter().all(|handle| handle.worker.is_finished()) {
-                        self.pump_events();
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+        for handle in std::mem::take(&mut self.shards) {
+            let report = handle.join();
+            let shard = report.shard;
+            self.shard_reports[shard] = Some(report);
         }
+        // Every shard thread has been joined, so every session report and
+        // sealed trace is already sitting in its channel.
+        self.pump_reports();
         // The control lane reports one past the highest shard id ever
         // spawned, so drained shards keep their own trace groups.
         let control_lane_index = self.next_shard_index;
-        for handle in handles {
-            drop(handle.control);
-            handle.producer.join().expect("shard producer panicked");
-            handle.worker.join().expect("shard worker panicked");
-        }
 
         let sessions: Vec<SessionReport> =
             std::mem::take(&mut self.completed).into_values().collect();
@@ -1261,8 +1508,6 @@ impl StreamRuntime {
                 })
             })
             .collect();
-        // Every pipeline thread has been joined, so every sealed trace is
-        // already sitting in the channel; drain without blocking.
         let trace = self.tracing.take().map(|tracing| {
             let RuntimeTracing {
                 epoch,
@@ -1293,710 +1538,24 @@ impl StreamRuntime {
         }
     }
 
-    /// Absorbs every event the workers have already delivered, without
-    /// blocking.
-    fn pump_events(&mut self) {
-        while let Ok(event) = self.events.try_recv() {
-            self.absorb(event);
+    /// Absorbs every report the shard threads have already delivered,
+    /// without blocking.
+    fn pump_reports(&mut self) {
+        while let Ok(report) = self.reports.try_recv() {
+            self.absorb(report);
         }
     }
 
-    fn absorb(&mut self, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::SessionDone(report) => {
-                self.churn.record_completion();
-                if report.cancelled {
-                    self.churn.record_cancellation();
-                }
-                self.totals.merge(&report.throughput);
-                self.completed.insert(report.session, report);
-            }
-            RuntimeEvent::ShardDone(report) => {
-                let slot = &mut self.shard_reports[report.shard];
-                debug_assert!(slot.is_none(), "shard {} reported twice", report.shard);
-                *slot = Some(report);
-            }
-            // Exactly one migration is ever in flight (the runtime is
-            // single-threaded and migrate_impl consumes its response
-            // before returning), so these never reach the generic path.
-            RuntimeEvent::Migrated { .. } | RuntimeEvent::MigrateRefused { .. } => {
-                unreachable!("migration responses are consumed by the migration wait loop")
-            }
+    /// Books a session's final report: churn counters, totals, and the
+    /// pickup map.
+    fn absorb(&mut self, report: SessionReport) {
+        self.churn.record_completion();
+        if report.cancelled {
+            self.churn.record_cancellation();
         }
+        self.totals.merge(&report.throughput);
+        self.completed.insert(report.session, report);
     }
-}
-
-/// Spawns one shard's producer/worker thread pair. `shard` is the stable
-/// id the pair reports as; the runtime calls this both at start and from
-/// [`StreamRuntime::spawn_shard`].
-fn spawn_shard_threads(
-    shard: usize,
-    config: &ServiceConfig,
-    events: mpsc::Sender<RuntimeEvent>,
-    tracing: Option<&TracingSpec>,
-) -> ShardHandle {
-    let (control_tx, control_rx) = mpsc::channel();
-    let (job_tx, job_rx, queue) = bounded_queue(config.queue_depth);
-    // Render buffers flow producer→worker inside ShardJob::Frame and come
-    // back empty-handed on this recycle channel, so session lifetime — not
-    // frame count — bounds the shard's frame allocations.
-    let (recycle_tx, recycle_rx) = mpsc::channel();
-    // Frames in the queue plus one in the producer's hands; recycled
-    // buffers beyond the cap are dropped rather than hoarded.
-    let frame_pool_cap = config.queue_depth + 1;
-    let sessions = Arc::new(AtomicUsize::new(0));
-    let session_pixels = Gauge::new();
-    let queued_pixels = Gauge::new();
-    let remaining_pixels = Gauge::new();
-    // Always-on render-time accounting (satisfies ShardReport even with
-    // tracing off): the producer adds, the worker reads at exit.
-    let render_nanos = Arc::new(AtomicU64::new(0));
-    let producer = std::thread::Builder::new()
-        .name(format!("pvc-shard{shard}-render"))
-        .spawn({
-            let links = ProducerLinks {
-                control: control_rx,
-                jobs: job_tx,
-                events: events.clone(),
-                queued_pixels: queued_pixels.clone(),
-                remaining_pixels: remaining_pixels.clone(),
-                recycle: recycle_rx,
-                frame_pool_cap,
-                render_nanos: Arc::clone(&render_nanos),
-                tracing: tracing.map(|spec| ShardTracing::new(shard, spec)),
-            };
-            move || run_producer(links)
-        })
-        .expect("spawning shard producer thread");
-    let worker = std::thread::Builder::new()
-        .name(format!("pvc-shard{shard}-encode"))
-        .spawn({
-            let config = config.clone();
-            let links = WorkerLinks {
-                jobs: job_rx,
-                queue,
-                gauges: WorkerGauges {
-                    sessions: Arc::clone(&sessions),
-                    session_pixels: session_pixels.clone(),
-                    queued_pixels: queued_pixels.clone(),
-                },
-                events,
-                recycle: recycle_tx,
-                render_nanos,
-                tracing: tracing.map(|spec| ShardTracing::new(shard, spec)),
-            };
-            move || run_worker(shard, config, links)
-        })
-        .expect("spawning shard worker thread");
-    ShardHandle {
-        shard,
-        control: control_tx,
-        sessions,
-        session_pixels,
-        queued_pixels,
-        remaining_pixels,
-        producer,
-        worker,
-    }
-}
-
-/// The pixels a member session is still due to render.
-fn session_remaining_pixels(session: &ProducerSession) -> u64 {
-    session.config.pixel_cost() * u64::from(session.config.frames().saturating_sub(session.next))
-}
-
-/// Hard-cancels `id` on the producer side: stops rendering its remaining
-/// frames and tells the worker to finalize a partial, `cancelled` report.
-/// A no-op when the session is not (or no longer) a member — its `Close`
-/// has already been sent and its report will arrive complete.
-///
-/// Returns `Err` when the worker is gone (queue closed) and the producer
-/// should stop.
-fn cancel_session(
-    active: &mut Vec<ProducerSession>,
-    id: usize,
-    links: &ProducerLinks,
-) -> Result<(), ()> {
-    let Some(position) = active.iter().position(|session| session.id == id) else {
-        return Ok(());
-    };
-    // The worker still owes the runtime a report for this session even if
-    // no frame was ever sent; send_first opens it so the Cancel below
-    // finalizes an (empty) cancelled one.
-    send_first(&mut active[position], &links.jobs)?;
-    let session = active.remove(position);
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(&session));
-    links.jobs.send(ShardJob::Cancel { id }).map_err(|_| ())
-}
-
-/// Downgrades member `id` to `profile`: re-derives its renderer and gaze
-/// trace from the new profile (keeping the current frame index, now under
-/// the new numbering) and tells the worker — through the frame queue, so
-/// the change lands behind every old-profile frame — to rebuild the
-/// encoder and stamp a tier-change record. A no-op for non-members.
-///
-/// Returns `Err` when the worker is gone and the producer should stop.
-fn retier_session(
-    active: &mut [ProducerSession],
-    id: usize,
-    profile: SessionProfile,
-    links: &ProducerLinks,
-) -> Result<(), ()> {
-    let Some(session) = active.iter_mut().find(|session| session.id == id) else {
-        return Ok(());
-    };
-    send_first(session, &links.jobs)?;
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(session));
-    let next = session.next;
-    let config = session.config.clone().with_profile(profile);
-    *session = ProducerSession::admit(id, config.clone());
-    session.next = next;
-    session.opened = true;
-    links
-        .remaining_pixels
-        .add(session_remaining_pixels(session));
-    links
-        .jobs
-        .send(ShardJob::Retier { id, config })
-        .map_err(|_| ())
-}
-
-/// Evicts member `id` for migration: stops rendering it and asks the
-/// worker — again through the frame queue, behind every frame already
-/// rendered — to package the session's carry. Non-members are refused
-/// straight back to the runtime (their stream already completed).
-///
-/// Returns `Err` when the worker is gone and the producer should stop.
-fn migrate_session(
-    active: &mut Vec<ProducerSession>,
-    id: usize,
-    links: &ProducerLinks,
-) -> Result<(), ()> {
-    let Some(position) = active.iter().position(|session| session.id == id) else {
-        links.events.send(RuntimeEvent::MigrateRefused { id }).ok();
-        return Ok(());
-    };
-    send_first(&mut active[position], &links.jobs)?;
-    let session = active.remove(position);
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(&session));
-    links
-        .jobs
-        .send(ShardJob::Migrate {
-            id,
-            config: session.config,
-            next: session.next,
-        })
-        .map_err(|_| ())
-}
-
-/// Everything one producer thread owns, bundled so the tracing kit and
-/// the always-on render-time counter ride along without widening the
-/// thread function's signature.
-struct ProducerLinks {
-    control: mpsc::Receiver<ShardControl>,
-    jobs: BoundedSender<ShardJob>,
-    /// For answering [`ShardControl::Migrate`] of a non-member directly
-    /// (the worker never hears about those).
-    events: mpsc::Sender<RuntimeEvent>,
-    queued_pixels: Gauge,
-    /// Work still due: lowered per rendered frame and adjusted on
-    /// cancel/retier/migrate; the runtime raises it at admission/arrival.
-    remaining_pixels: Gauge,
-    recycle: mpsc::Receiver<LinearFrame>,
-    frame_pool_cap: usize,
-    /// Accumulated render time, read by the worker at exit into
-    /// [`ShardReport::render_seconds`]. Always maintained.
-    render_nanos: Arc<AtomicU64>,
-    tracing: Option<ShardTracing>,
-}
-
-/// The producer thread: runs the loop, then seals and ships its trace.
-/// `links` (and with it the job sender) drops when this returns, which is
-/// what lets the worker drain and wind down.
-fn run_producer(mut links: ProducerLinks) {
-    producer_loop(&mut links);
-    if let Some(tracing) = links.tracing.take() {
-        tracing.finish(Lane::Producer);
-    }
-}
-
-/// The producer loop: absorbs control commands (blocking while idle,
-/// polling while busy) and renders member sessions' frames round-robin
-/// into the bounded queue. Frame-major interleaving (A0 B0 A1 B1 …) is
-/// fair across sessions while preserving per-session frame order — which
-/// is all determinism needs. `queued_pixels` is raised before each frame
-/// send (add-before-handoff, see [`Gauge`]) and released by the worker.
-///
-/// Render buffers come from a small pool fed by the worker's `recycle`
-/// channel (capped at `frame_pool_cap`; excess buffers are dropped), so a
-/// long-lived session renders its whole stream into a handful of
-/// recirculating frames. Rendering overwrites every pixel, so recycling
-/// cannot change a single emitted bit — and neither can any of the clock
-/// reads tracing adds around it.
-fn producer_loop(links: &mut ProducerLinks) {
-    let mut active: Vec<ProducerSession> = Vec::new();
-    let mut pool: Vec<LinearFrame> = Vec::new();
-    let mut draining = false;
-    loop {
-        // Idle: sleep on the control channel rather than spinning.
-        while active.is_empty() && !draining {
-            match links.control.recv().ok() {
-                Some(ShardControl::Admit { id, config }) => {
-                    active.push(ProducerSession::admit(id, config));
-                }
-                Some(ShardControl::Resume { id, carry }) => {
-                    active.push(ProducerSession::resume(id, carry));
-                }
-                // No member can match a Cancel or Retier while idle: the
-                // session already closed and its report is (or will be)
-                // complete.
-                Some(ShardControl::Cancel { .. }) | Some(ShardControl::Retier { .. }) => {}
-                // Likewise a Migrate of a non-member: refuse it so the
-                // waiting runtime unblocks.
-                Some(ShardControl::Migrate { id }) => {
-                    links.events.send(RuntimeEvent::MigrateRefused { id }).ok();
-                }
-                Some(ShardControl::Shutdown) | None => draining = true,
-            }
-        }
-        // Busy: absorb whatever commands piled up, without blocking.
-        loop {
-            match links.control.try_recv() {
-                Ok(ShardControl::Admit { id, config }) => {
-                    active.push(ProducerSession::admit(id, config));
-                }
-                Ok(ShardControl::Resume { id, carry }) => {
-                    active.push(ProducerSession::resume(id, carry));
-                }
-                Ok(ShardControl::Cancel { id }) => {
-                    if cancel_session(&mut active, id, links).is_err() {
-                        return;
-                    }
-                }
-                Ok(ShardControl::Retier { id, profile }) => {
-                    if retier_session(&mut active, id, profile, links).is_err() {
-                        return;
-                    }
-                }
-                Ok(ShardControl::Migrate { id }) => {
-                    if migrate_session(&mut active, id, links).is_err() {
-                        return;
-                    }
-                }
-                Ok(ShardControl::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
-                    draining = true;
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-            }
-        }
-        if active.is_empty() {
-            if draining {
-                return; // returning drops `jobs` upstream; worker winds down
-            }
-            continue;
-        }
-        // Reclaim whatever render buffers the worker has finished with.
-        let reclaim_start = Instant::now();
-        while let Ok(frame) = links.recycle.try_recv() {
-            if pool.len() < links.frame_pool_cap {
-                pool.push(frame);
-            }
-        }
-        if let Some(tracing) = links.tracing.as_mut() {
-            tracing
-                .recorder
-                .span(Stage::PoolRecycle, CLASS_OTHER, 0, 0, reclaim_start);
-        }
-        // One frame per member session. Every send can block on the
-        // bounded queue (backpressure); a send error means the worker is
-        // gone (unwinding), so stop producing.
-        let mut index = 0;
-        while index < active.len() {
-            let finished = {
-                let session = &mut active[index];
-                if send_first(session, &links.jobs).is_err() {
-                    return;
-                }
-                if session.next < session.config.frames() {
-                    let t = session.next;
-                    let mut frame = pool.pop().unwrap_or_else(|| {
-                        LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK)
-                    });
-                    let render_start = Instant::now();
-                    session.renderer.render_linear_into(t, &mut frame);
-                    let rendered_nanos = render_start.elapsed().as_nanos() as u64;
-                    links
-                        .render_nanos
-                        .fetch_add(rendered_nanos, Ordering::Relaxed);
-                    if let Some(tracing) = links.tracing.as_mut() {
-                        let class = session.config.profile.tier.class_index();
-                        let start = tracing.recorder.epoch().nanos_since(render_start);
-                        tracing.recorder.span_nanos(
-                            Stage::Render,
-                            class,
-                            session.id as u64,
-                            t,
-                            start,
-                            rendered_nanos,
-                        );
-                    }
-                    let job = ShardJob::Frame {
-                        id: session.id,
-                        frame,
-                        gaze: session.trace.samples()[t as usize],
-                        enqueued: Instant::now(),
-                    };
-                    // Add-before-handoff keeps the gauge non-negative: the
-                    // worker's release always follows this add.
-                    let pixels = session.config.pixel_cost();
-                    links.queued_pixels.add(pixels);
-                    if links.jobs.send(job).is_err() {
-                        links.queued_pixels.sub(pixels);
-                        return;
-                    }
-                    // The frame is rendered: it is no longer "remaining".
-                    links.remaining_pixels.sub(pixels);
-                    session.next += 1;
-                }
-                session.next >= session.config.frames()
-            };
-            if finished {
-                // `remove` (not swap_remove) keeps the round-robin order of
-                // the remaining sessions stable.
-                let done = active.remove(index);
-                if links.jobs.send(ShardJob::Close { id: done.id }).is_err() {
-                    return;
-                }
-            } else {
-                index += 1;
-            }
-        }
-    }
-}
-
-/// The shard-load gauges the worker releases as sessions and frames pass
-/// through it; the admission side raises them.
-struct WorkerGauges {
-    sessions: Arc<AtomicUsize>,
-    session_pixels: Gauge,
-    queued_pixels: Gauge,
-}
-
-/// Everything one worker thread owns besides its encoder state, bundled
-/// like [`ProducerLinks`] to keep the thread function's signature flat.
-struct WorkerLinks {
-    jobs: BoundedReceiver<ShardJob>,
-    queue: QueueStats,
-    gauges: WorkerGauges,
-    events: mpsc::Sender<RuntimeEvent>,
-    recycle: mpsc::Sender<LinearFrame>,
-    /// The producer's accumulated render time; read once at exit (the
-    /// queue has closed by then, so the producer has stopped adding).
-    render_nanos: Arc<AtomicU64>,
-    tracing: Option<ShardTracing>,
-}
-
-/// The worker loop: drains the frame queue in arrival order, encoding each
-/// frame with its session's own encoder, and finalizes session reports on
-/// `Close` (complete) or `Cancel` (partial, flagged cancelled). Exits when
-/// the producer drops its sender and the queue drains.
-///
-/// One [`StreamScratch`] and one bitstream buffer serve every session of
-/// the shard for the worker's whole lifetime: the scratch only changes
-/// *where* intermediates live (never a computed bit), so sharing it across
-/// heterogeneous sessions is safe — the buffers simply warm up to the
-/// largest frame size the shard serves. Encoded frames are handed back to
-/// the producer through `recycle` for re-rendering.
-///
-/// With tracing on, each frame contributes queue-wait, adjust, gamma and
-/// BD-encode spans (the encode sub-stages come from the scratch's
-/// [`StreamScratch::last_timing`] breakdown, chained from the encode
-/// start — the gaze-map lookup between dequeue and adjust is untraced)
-/// plus a wire-emit span around the sink fan-out. All of it is clock
-/// reads and integer stores: no allocation, no encoded-bit drift.
-fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
-    let wall_start = Instant::now();
-    let mut shard_report = ShardReport {
-        shard,
-        ..ShardReport::default()
-    };
-    let mut sessions: BTreeMap<usize, WorkerSession> = BTreeMap::new();
-    let mut scratch = StreamScratch::new();
-    let mut bitstream: Vec<u8> = Vec::new();
-    let mut busy_seconds = 0.0f64;
-    for job in links.jobs.iter() {
-        match job {
-            ShardJob::Open {
-                id,
-                config: session_config,
-            } => {
-                shard_report.sessions += 1;
-                sessions.insert(id, WorkerSession::open(id, shard, &config, &session_config));
-            }
-            ShardJob::Frame {
-                id,
-                frame,
-                gaze,
-                enqueued,
-            } => {
-                let session = sessions
-                    .get_mut(&id)
-                    .expect("frame for a session that was never opened");
-                // The frame left the queue: release its pixel weight.
-                links.gauges.queued_pixels.sub(session.frame_pixels);
-                let encode_start = Instant::now();
-                let first_frame = *session.first_frame.get_or_insert(encode_start);
-                let stats = session.encoder.encode_frame_stream_into(
-                    &frame,
-                    gaze,
-                    &mut scratch,
-                    &mut bitstream,
-                );
-                busy_seconds += encode_start.elapsed().as_secs_f64();
-                // The frame's pixels are encoded; hand the buffer back for
-                // re-rendering (the producer may already be gone at
-                // shutdown, which is fine — the buffer just drops).
-                links.recycle.send(frame).ok();
-                let report = &mut session.report;
-                // The frame's index within the session, before the
-                // throughput counter moves past it.
-                let frame_index = report.throughput.frames as u32;
-                report.temporal.record_frame(
-                    stats.temporal.keyframe,
-                    stats.temporal.skip_tiles,
-                    stats.temporal.delta_tiles,
-                    stats.temporal.intra_tiles,
-                    stats.temporal.bits,
-                    stats.temporal.intra_bits,
-                );
-                report.throughput.record_frame_bits(
-                    stats.compression.uncompressed_bits,
-                    bitstream.len() as u64,
-                    session.frame_pixels,
-                );
-                // Per-session wall-clock: first frame's encode start to the
-                // latest frame's encode end. Refreshed every frame so the
-                // final value lands on the last frame without needing one.
-                report.throughput.wall_seconds = first_frame.elapsed().as_secs_f64();
-                if let Some(tracing) = links.tracing.as_mut() {
-                    record_frame_spans(
-                        &mut tracing.recorder,
-                        session.class,
-                        id as u64,
-                        frame_index,
-                        enqueued,
-                        encode_start,
-                        scratch.last_timing(),
-                    );
-                }
-                let emit_start = Instant::now();
-                let keyframe = stats.temporal.keyframe;
-                for sink in session.sinks() {
-                    sink.frame(frame_index, keyframe, &bitstream);
-                }
-                if let Some(tracing) = links.tracing.as_mut() {
-                    tracing.recorder.span(
-                        Stage::WireEmit,
-                        session.class,
-                        id as u64,
-                        frame_index,
-                        emit_start,
-                    );
-                }
-            }
-            ShardJob::Close { id } => {
-                let session = sessions
-                    .remove(&id)
-                    .expect("close for a session that was never opened");
-                finalize(session, &mut shard_report, &links.gauges, &links.events);
-            }
-            ShardJob::Cancel { id } => {
-                let mut session = sessions
-                    .remove(&id)
-                    .expect("cancel for a session that was never opened");
-                session.report.cancelled = true;
-                finalize(session, &mut shard_report, &links.gauges, &links.events);
-            }
-            ShardJob::Retier {
-                id,
-                config: session_config,
-            } => {
-                let session = sessions
-                    .get_mut(&id)
-                    .expect("retier for a session that was never opened");
-                // Every old-profile frame precedes this job in the queue,
-                // so the rebuild lands at exactly the producer's switch
-                // point. Fold the outgoing encoder's cache counters before
-                // replacing it.
-                session.carried_cache =
-                    merge_cache(session.carried_cache, session.encoder.cache_stats());
-                let (mut encoder, tile_size) = encoder_for(&config, &session_config);
-                // The shed rebuild clears the temporal reference (the old
-                // tier's frames have a different geometry anyway), so the
-                // first lower-tier frame is an intra refresh; seeding the
-                // frame counter keeps the keyframe schedule aligned with a
-                // solo run at the lower tier from this index on.
-                encoder.set_next_frame_index(session.report.throughput.frames as u32);
-                session.encoder = encoder;
-                let old_tier = session.report.tier;
-                links.gauges.session_pixels.sub(session.frame_pixels);
-                session.frame_pixels = session_config.pixel_cost();
-                links.gauges.session_pixels.add(session.frame_pixels);
-                session.class = session_config.profile.tier.class_index();
-                session.report.tier = session_config.profile.tier;
-                // Only the first downgrade is "from" anything the client
-                // did not already know about.
-                session.report.downgraded_from.get_or_insert(old_tier);
-                let frame_index = session.report.throughput.frames as u32;
-                session.report.downgrade_frame = Some(frame_index);
-                let change = WireTierChange {
-                    frame_index,
-                    tier: session_config.profile.tier,
-                    width: session_config.dimensions().width,
-                    height: session_config.dimensions().height,
-                    tile_size,
-                    frame_budget: session_config.frames(),
-                };
-                for sink in session.sinks() {
-                    sink.tier_change(&change);
-                }
-            }
-            ShardJob::Migrate {
-                id,
-                config: session_config,
-                next,
-            } => {
-                let session = sessions
-                    .remove(&id)
-                    .expect("migrate for a session that was never opened");
-                // Attribute the frames encoded here to this shard before
-                // the session leaves; the destination claims only its own
-                // share via the carried baselines.
-                shard_report.frames += session.report.throughput.frames - session.counted_frames;
-                shard_report.pixels += session.report.throughput.pixels - session.counted_pixels;
-                let counted_frames = session.report.throughput.frames;
-                let counted_pixels = session.report.throughput.pixels;
-                let carried_cache =
-                    merge_cache(session.carried_cache, session.encoder.cache_stats());
-                links.gauges.sessions.fetch_sub(1, Ordering::Relaxed);
-                links.gauges.session_pixels.sub(session.frame_pixels);
-                let carry = Box::new(SessionCarry {
-                    config: session_config,
-                    frames_done: next,
-                    report: session.report,
-                    digest: session.digest,
-                    wire: session.wire,
-                    first_frame: session.first_frame,
-                    carried_cache,
-                    counted_frames,
-                    counted_pixels,
-                });
-                links.events.send(RuntimeEvent::Migrated { id, carry }).ok();
-            }
-            ShardJob::Resume { id, carry } => {
-                shard_report.sessions += 1;
-                sessions.insert(id, WorkerSession::resume(shard, &config, *carry));
-            }
-        }
-    }
-    // The producer only exits without closing every session while
-    // unwinding; finalize leftovers so retirees are not stranded.
-    for (_, session) in std::mem::take(&mut sessions) {
-        finalize(session, &mut shard_report, &links.gauges, &links.events);
-    }
-    shard_report.busy_seconds = busy_seconds;
-    shard_report.render_seconds = links.render_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-    shard_report.wall_seconds = wall_start.elapsed().as_secs_f64();
-    shard_report.queue_stalls = links.queue.stalls();
-    shard_report.queue_enqueued = links.queue.enqueued();
-    shard_report.queue_peak_depth = links.queue.peak_depth();
-    links
-        .events
-        .send(RuntimeEvent::ShardDone(shard_report))
-        .ok();
-    if let Some(tracing) = links.tracing.take() {
-        tracing.finish(Lane::Worker);
-    }
-}
-
-/// Records one encoded frame's span ladder: queue wait (enqueue →
-/// dequeue), then the encode broken into adjust / gamma / BD-encode via
-/// the scratch's sub-stage timing, chained end to end from the encode
-/// start.
-fn record_frame_spans(
-    recorder: &mut Recorder,
-    class: u8,
-    session: u64,
-    frame: u32,
-    enqueued: Instant,
-    encode_start: Instant,
-    timing: pvc_core::StageNanos,
-) {
-    let epoch = recorder.epoch();
-    let enqueued_at = epoch.nanos_since(enqueued);
-    let dequeued_at = epoch.nanos_since(encode_start);
-    recorder.span_nanos(
-        Stage::QueueWait,
-        class,
-        session,
-        frame,
-        enqueued_at,
-        dequeued_at.saturating_sub(enqueued_at),
-    );
-    recorder.span_nanos(
-        Stage::Adjust,
-        class,
-        session,
-        frame,
-        dequeued_at,
-        timing.adjust,
-    );
-    let gamma_at = dequeued_at + timing.adjust;
-    recorder.span_nanos(Stage::Gamma, class, session, frame, gamma_at, timing.gamma);
-    let bd_at = gamma_at + timing.gamma;
-    recorder.span_nanos(
-        Stage::BdEncode,
-        class,
-        session,
-        frame,
-        bd_at,
-        timing.bd_encode,
-    );
-}
-
-/// Seals a session's report, releases its shard-load gauges, and hands it
-/// back to the runtime.
-fn finalize(
-    mut session: WorkerSession,
-    shard_report: &mut ShardReport,
-    gauges: &WorkerGauges,
-    events: &mpsc::Sender<RuntimeEvent>,
-) {
-    let cancelled = session.report.cancelled;
-    for sink in session.sinks() {
-        sink.finish(cancelled);
-    }
-    session.report.stream_digest = session.digest.digest();
-    session.report.payloads = session.digest.take_payloads();
-    session.report.wire_stream = session.wire.take().map(WireSink::into_bytes);
-    // Cache counters span every encoder incarnation (sheds, migrations);
-    // for a session that never changed tier or shard the carried part is
-    // zero and this is exactly the live encoder's stats.
-    session.report.cache = merge_cache(session.carried_cache, session.encoder.cache_stats());
-    // Migrated-in sessions only credit this shard with the frames encoded
-    // here; previous shards already claimed theirs.
-    shard_report.frames += session.report.throughput.frames - session.counted_frames;
-    shard_report.pixels += session.report.throughput.pixels - session.counted_pixels;
-    gauges.sessions.fetch_sub(1, Ordering::Relaxed);
-    gauges.session_pixels.sub(session.frame_pixels);
-    events.send(RuntimeEvent::SessionDone(session.report)).ok();
 }
 
 #[cfg(test)]
@@ -2139,7 +1698,6 @@ mod tests {
         let after = runtime.shard_loads();
         assert_eq!(after[0].sessions, 0, "completion deregisters");
         assert_eq!(after[0].session_pixels, 0, "pixels release with it");
-        assert_eq!(after[0].queued_pixels, 0, "the queue drained");
         runtime.shutdown();
     }
 

@@ -12,24 +12,25 @@
 //!
 //! * **Stable routing.** A session is placed on one shard at admission and
 //!   stays there for its whole stream, so its eccentricity-map cache stays
-//!   hot on one worker. `run()` uses the deterministic [`Static`] modulo
-//!   policy (`session_id % shards`);
+//!   hot in its own encoder. `run()` uses the deterministic [`Static`]
+//!   modulo policy (`session_id % shards`);
 //!   [`run_with_placement`](StreamService::run_with_placement) accepts any
 //!   [`Placement`].
-//! * **Bounded pipelining.** Within a shard, frame *production* (scene
-//!   rendering) runs on a producer thread and frame *encoding* on the shard
-//!   worker, connected by a [`pvc_parallel::bounded_queue`]. The queue
-//!   depth caps rendered-but-unencoded frames (memory), and its stall
-//!   counter is the backpressure signal: stalls mean encoding, not
-//!   rendering, is the bottleneck.
+//! * **Whole frames per thread.** Each shard runs two identical threads,
+//!   and each renders, encodes and emits whole session frames: a thread
+//!   claims the next ready session, runs its next frame, and hands it
+//!   back. Nothing is queued between render and encode, so render time
+//!   and encode time add up per frame and are split across the two
+//!   threads. A shard with a single live session keeps one thread busy.
 //! * **Placement invariance.** Each session's frames are encoded in frame
-//!   order by exactly one worker, from inputs derived only from the
-//!   session's own config — so the encoded streams are bit-identical no
-//!   matter how many shards the service runs with or which placement
-//!   policy routes them. Only wall-clock telemetry changes.
+//!   order, one at a time, from inputs derived only from the session's
+//!   own config — so the encoded streams are bit-identical no matter how
+//!   many shards the service runs with, which placement policy routes
+//!   them, or which shard thread runs each frame. Only wall-clock
+//!   telemetry changes.
 
 use crate::placement::{Placement, Static};
-use crate::runtime::StreamRuntime;
+use crate::runtime::{StreamRuntime, THREADS_PER_SHARD};
 use crate::session::{SessionConfig, SessionReport, WorkloadMix};
 use pvc_core::{BatchCacheStats, EncoderConfig};
 use pvc_frame::Dimensions;
@@ -46,7 +47,7 @@ use pvc_trace::TraceReport;
 /// pin green.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Capacity of each pipeline thread's event ring. When a thread
+    /// Capacity of each shard thread's event ring. When a thread
     /// records more events than this, the oldest scroll out (the
     /// histograms still count every span); [`TraceReport`] reports how
     /// many were dropped.
@@ -64,10 +65,8 @@ impl Default for TraceConfig {
 /// Service-wide configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Number of shard workers.
+    /// Number of shards (two threads each).
     pub shards: usize,
-    /// Depth of each shard's render→encode queue (frames in flight).
-    pub queue_depth: usize,
     /// Encoder configuration shared by every session.
     pub encoder: EncoderConfig,
     /// Keep every frame's encoded bitstream in the session reports.
@@ -88,7 +87,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 1,
-            queue_depth: 4,
             encoder: EncoderConfig::default(),
             collect_payloads: false,
             collect_wire: false,
@@ -109,14 +107,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns the configuration with a different queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_depth` is zero.
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        assert!(queue_depth > 0, "queue depth must be non-zero");
-        self.queue_depth = queue_depth;
+    /// Returns the configuration unchanged: shards have no render→encode
+    /// queue, so there is no depth to set. Kept only because the
+    /// `perfbench` benchmark still calls it; ROADMAP item 1 retires it.
+    pub fn with_queue_depth(self, _queue_depth: usize) -> Self {
         self
     }
 
@@ -146,7 +140,7 @@ impl ServiceConfig {
     }
 }
 
-/// What one shard worker observed over its lifetime (one
+/// What one shard observed over its lifetime (one
 /// [`StreamService::run`] or one [`StreamRuntime`] start→shutdown).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardReport {
@@ -160,39 +154,44 @@ pub struct ShardReport {
     /// this — not `frames` — is the comparable per-shard work measure: a
     /// Vision-class frame costs ~3.3× a Quest-2 frame.
     pub pixels: u64,
-    /// Seconds the worker spent inside the encoder.
+    /// Seconds the shard's threads spent inside the encoder, summed over
+    /// both threads.
     pub busy_seconds: f64,
-    /// Seconds the shard's producer spent rendering frames. Runs on its
-    /// own thread, so it overlaps (rather than adds to) `busy_seconds` —
-    /// the two answer "which side of the queue is the bottleneck".
+    /// Seconds the shard's threads spent rendering frames, summed over
+    /// both threads. Each thread renders and then encodes every frame it
+    /// runs, so the two add up per thread.
     pub render_seconds: f64,
-    /// Wall-clock seconds from shard start to worker exit.
+    /// Wall-clock seconds from shard start to the exit of its last
+    /// thread.
     pub wall_seconds: f64,
-    /// Times the producer blocked on a full queue (backpressure events).
+    /// Always 0: shards have no render→encode queue. Kept only because
+    /// the `perfbench` benchmark still reads it; ROADMAP item 1 retires
+    /// it.
     pub queue_stalls: u64,
-    /// Frames ever enqueued on the shard's render→encode queue.
-    pub queue_enqueued: u64,
-    /// High-water mark of the queue's occupancy. A peak pinned at the
-    /// configured depth means the producer spent time blocked.
+    /// Always 0, like [`Self::queue_stalls`] and for the same reason;
+    /// ROADMAP item 1 retires it.
     pub queue_peak_depth: usize,
 }
 
 impl ShardReport {
-    /// Fraction of the shard's wall-clock spent encoding, in `[0, 1]`.
+    /// Fraction of the shard's thread time (2 × `wall_seconds`) spent
+    /// encoding, in `[0, 1]`. With [`Self::render_utilization`] it sums
+    /// to at most 1; the rest is idle or spent outside render and encode.
     pub fn utilization(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_seconds / self.wall_seconds).clamp(0.0, 1.0)
+        self.thread_share(self.busy_seconds)
     }
 
-    /// Fraction of the shard's wall-clock its producer spent rendering,
-    /// in `[0, 1]` — the render-side twin of [`Self::utilization`].
+    /// Fraction of the shard's thread time spent rendering, in `[0, 1]` —
+    /// the render-side twin of [`Self::utilization`].
     pub fn render_utilization(&self) -> f64 {
+        self.thread_share(self.render_seconds)
+    }
+
+    fn thread_share(&self, seconds: f64) -> f64 {
         if self.wall_seconds <= 0.0 {
             return 0.0;
         }
-        (self.render_seconds / self.wall_seconds).clamp(0.0, 1.0)
+        (seconds / (f64::from(THREADS_PER_SHARD) * self.wall_seconds)).clamp(0.0, 1.0)
     }
 
     /// The shard's pixel throughput in megapixels per second (0 when no
@@ -315,12 +314,10 @@ impl StreamService {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards or queue depth (the
-    /// builder methods already enforce this; the assert guards
-    /// struct-literal configs).
+    /// Panics if the configuration has zero shards (the builder methods
+    /// already enforce this; the assert guards struct-literal configs).
     pub fn new(config: ServiceConfig) -> StreamService {
         assert!(config.shards > 0, "shard count must be non-zero");
-        assert!(config.queue_depth > 0, "queue depth must be non-zero");
         StreamService {
             config,
             sessions: Vec::new(),
@@ -385,9 +382,8 @@ impl StreamService {
     ///
     /// Per-session encoded output (payload bytes, digests, cache counters)
     /// depends only on the session configs and the encoder configuration —
-    /// never on the shard count, queue depth or thread scheduling. Timing
-    /// telemetry (utilization, wall seconds, stalls) is of course
-    /// machine-dependent.
+    /// never on the shard count or thread scheduling. Timing telemetry
+    /// (utilization, wall seconds) is of course machine-dependent.
     pub fn run(&self) -> ServiceReport {
         self.run_with_placement(Box::new(Static))
     }
@@ -484,13 +480,12 @@ mod tests {
         }
 
         let trace = traced.trace.as_ref().expect("tracing was configured");
-        // 2 shards × (producer + worker) + the control lane.
+        // 2 shards × 2 shard threads + the control lane.
         assert_eq!(trace.threads.len(), 5);
         assert_eq!(trace.dropped_events(), 0, "default ring fits this run");
         let frames: u64 = traced.sessions.iter().map(|s| s.throughput.frames).sum();
         for stage in [
             Stage::Render,
-            Stage::QueueWait,
             Stage::Adjust,
             Stage::Gamma,
             Stage::BdEncode,
@@ -622,6 +617,29 @@ mod tests {
         assert_eq!(cache.hits + cache.misses, 6);
         let summary = report.utilization_summary().expect("two shards served");
         assert!(summary.mean >= 0.0 && summary.mean <= 1.0);
+    }
+
+    #[test]
+    fn encode_and_render_utilization_share_the_shard_threads() {
+        // Both threads render and encode, so the two ratios divide by the
+        // shard's thread time (2 × wall) and can never sum past 1.
+        let report = service_with(2, 4, 6, false).run();
+        for shard in &report.shards {
+            let busy = shard.utilization() + shard.render_utilization();
+            assert!(
+                busy > 0.0 && busy <= 1.0,
+                "shard {}: encode + render utilization = {busy}",
+                shard.shard
+            );
+        }
+        let saturated = ShardReport {
+            busy_seconds: 1.0,
+            render_seconds: 3.0,
+            wall_seconds: 2.0,
+            ..ShardReport::default()
+        };
+        assert_eq!(saturated.utilization(), 0.25);
+        assert_eq!(saturated.render_utilization(), 0.75);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use pvc_scenes::SceneId;
 
 /// Salt mixed into a session's seed for gaze-trace synthesis, so scene
 /// content and gaze randomness are decorrelated. Every component that
-/// re-derives a session's trace (shard producers, hand-driven tests) must
+/// re-derives a session's trace (the runtime, hand-driven tests) must
 /// use the same salt, or the "rebuilt from config alone" determinism
 /// argument falls apart.
 pub(crate) const GAZE_SEED_SALT: u64 = 0x6A7E_5EED_0BAD_CAFE;
@@ -440,8 +440,8 @@ pub struct SessionReport {
     /// elapsed stream time — from its first frame's encode start to its
     /// last frame's encode end — so per-session `frames_per_second()` and
     /// `output_megabits_per_second()` are meaningful (and non-zero for any
-    /// session that encoded at least one frame). Because sessions share a
-    /// shard worker, the time includes waiting between the session's own
+    /// session that encoded at least one frame). Because sessions share
+    /// their shard's threads, the time includes waiting between the session's own
     /// frames; it measures delivered stream rate, not encoder occupancy.
     pub throughput: ThroughputReport,
     /// The session's eccentricity-map cache counters.

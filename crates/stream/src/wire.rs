@@ -1,4 +1,4 @@
-//! The per-session wire format: what a shard worker actually ships.
+//! The per-session wire format: what a shard actually ships.
 //!
 //! A session's byte stream is a sequence of framed records, each starting
 //! with a 4-byte magic so a reader can tell where it is (and, after
@@ -160,7 +160,7 @@ pub enum WireRecord<'a> {
     TierChange(WireTierChange),
     /// The stream terminator.
     End {
-        /// Number of frame records the worker emitted.
+        /// Number of frame records the shard emitted.
         frames: u32,
         /// True when the session was hard-cancelled before its budget.
         cancelled: bool,
@@ -356,12 +356,11 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Where a shard worker puts each encoded frame.
+/// Where a shard thread puts each encoded frame.
 ///
-/// The worker calls `start` once when the session opens, `frame` once per
+/// The runtime calls `start` once when the session opens, `frame` once per
 /// encoded frame (in frame order, with the frame's index), and `finish`
-/// exactly once when the session closes, cancels, or is stranded by
-/// shutdown.
+/// exactly once when the session completes or is cancelled.
 pub trait FrameSink {
     /// The session opened; `header` describes its geometry and budget.
     fn start(&mut self, header: &WireSessionHeader);
@@ -381,8 +380,7 @@ pub trait FrameSink {
 }
 
 /// The telemetry sink: chained FNV-1a digest over every frame's bytes,
-/// plus (optionally) the raw payloads. This is the digest/payload
-/// collection the worker loop used to do inline.
+/// plus (optionally) the raw payloads.
 #[derive(Debug, Clone)]
 pub struct DigestSink {
     digest: u64,

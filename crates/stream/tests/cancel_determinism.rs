@@ -62,7 +62,6 @@ fn cancel_run(shards: usize, placement: Box<dyn Placement>) -> (Vec<Vec<Vec<u8>>
     let mut runtime = StreamRuntime::start(
         ServiceConfig::default()
             .with_shards(shards)
-            .with_queue_depth(2)
             .with_collect_payloads(true),
         placement,
     );

@@ -49,12 +49,7 @@ fn solo_digest(config: &SessionConfig) -> u64 {
 /// shut down. Returns every session's digest in id order.
 fn churn_digests(shards: usize, placement: Box<dyn Placement>) -> Vec<u64> {
     let configs = roster();
-    let mut runtime = StreamRuntime::start(
-        ServiceConfig::default()
-            .with_shards(shards)
-            .with_queue_depth(2),
-        placement,
-    );
+    let mut runtime = StreamRuntime::start(ServiceConfig::default().with_shards(shards), placement);
     let first_wave: Vec<usize> = configs[..INITIAL]
         .iter()
         .map(|config| runtime.admit(config.clone()))

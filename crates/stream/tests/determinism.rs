@@ -17,7 +17,6 @@ fn build_service(shards: usize) -> StreamService {
     let mut service = StreamService::new(
         ServiceConfig::default()
             .with_shards(shards)
-            .with_queue_depth(2)
             .with_collect_payloads(true),
     );
     service.admit_synthetic(SESSIONS - 1, dims, FRAMES);

@@ -7,6 +7,10 @@
 //!   same config, and every co-resident survivor's stream is untouched.
 //!   Pinned across {1, 4} initial shards × every placement policy
 //!   (static, least-loaded).
+//! * **Ping-pong migration**: one session hopped between two shards a
+//!   dozen times while its bystanders stream still equals its solo run,
+//!   and so does every bystander. Every hop waits for the session to be
+//!   at rest between two frames, so this exercises that wait repeatedly.
 //! * **Shed** (`StreamRuntime::shed`): downgrading a session one
 //!   resolution tier mid-stream splices two solo runs at the switch
 //!   frame. Frames before the downgrade are bit-identical to the solo
@@ -87,12 +91,7 @@ fn migration_run(
     placement: Box<dyn Placement>,
     temporal: bool,
 ) -> (Payloads, u64, Vec<Payloads>) {
-    let mut runtime = StreamRuntime::start(
-        service_config(temporal)
-            .with_shards(shards)
-            .with_queue_depth(2),
-        placement,
-    );
+    let mut runtime = StreamRuntime::start(service_config(temporal).with_shards(shards), placement);
     let mover = runtime.admit(mover_config());
     let survivor_ids: Vec<usize> = survivor_configs()
         .into_iter()
@@ -235,6 +234,68 @@ fn migrated_temporal_streams_refresh_at_the_handoff_and_realign() {
                 "{name}, {shards} shard(s): a migration changed a bystander's encoded bits"
             );
         }
+    }
+}
+
+/// Hops of the ping-pong pin: the mover crosses between the two shards
+/// this many times.
+const HOPS: u64 = 12;
+/// Bystander budgets in the ping-pong pin: long enough to keep streaming
+/// next to the mover while it hops.
+const BYSTANDER_FRAMES: u32 = 120;
+
+fn bystander_configs() -> Vec<SessionConfig> {
+    (1..=3)
+        .map(|index| SessionConfig::synthetic(index, base_dims(), BYSTANDER_FRAMES))
+        .collect()
+}
+
+#[test]
+fn ping_pong_migration_keeps_every_stream_bit_identical() {
+    let (mover_solo, mover_digest) = solo(&mover_config(), false);
+    let bystander_solos: Vec<Payloads> = bystander_configs()
+        .iter()
+        .map(|config| solo(config, false).0)
+        .collect();
+
+    let mut runtime = StreamRuntime::start_static(service_config(false).with_shards(2));
+    let mover = runtime.admit(mover_config());
+    let bystanders: Vec<usize> = bystander_configs()
+        .into_iter()
+        .map(|config| runtime.admit(config))
+        .collect();
+    for hop in 0..HOPS {
+        let to = 1 - runtime.assignment(mover).expect("the mover was admitted");
+        assert!(
+            runtime.migrate(mover, to),
+            "hop {hop}: the mover streams for {MOVER_FRAMES} frames; the migration must land"
+        );
+        assert_eq!(runtime.assignment(mover), Some(to));
+    }
+    let mover_report = runtime.retire(mover);
+    runtime.drain();
+    let report = runtime.shutdown();
+
+    assert_eq!(report.elasticity.migrated, HOPS, "every hop is counted");
+    assert_eq!(mover_report.throughput.frames, u64::from(MOVER_FRAMES));
+    assert_eq!(
+        mover_report.payloads.expect("collect_payloads was set"),
+        mover_solo,
+        "ping-pong migration changed the mover's encoded bits"
+    );
+    assert_eq!(mover_report.stream_digest, mover_digest);
+    assert_eq!(report.sessions.len(), bystanders.len());
+    for session in report.sessions {
+        let slot = bystanders
+            .iter()
+            .position(|&id| id == session.session)
+            .expect("unexpected session id in the shutdown report");
+        assert_eq!(
+            session.payloads.expect("collect_payloads was set"),
+            bystander_solos[slot],
+            "ping-pong migration changed bystander {}'s encoded bits",
+            session.session
+        );
     }
 }
 

@@ -4,8 +4,8 @@
 //!   for arbitrary fleet load shapes (as long as one serving shard
 //!   exists — the controller guarantees that by construction, since it
 //!   never drains the last shard).
-//! * The per-shard load gauges (live sessions, committed pixels, queued
-//!   pixels, remaining pixels) return to exactly zero after an
+//! * The per-shard load counters (live sessions, committed pixels,
+//!   remaining pixels) return to exactly zero after an
 //!   admit → migrate → retire lifecycle, for arbitrary session shapes —
 //!   the leak-freedom the admission budget depends on.
 
@@ -15,15 +15,11 @@ use pvc_stream::{
     LeastLoaded, Placement, ServiceConfig, SessionConfig, ShardLoad, Static, StreamRuntime,
 };
 
-/// Arbitrary fleet snapshots: up to 8 shards with independent gauge
+/// Arbitrary fleet snapshots: up to 8 shards with independent counter
 /// values and draining flags, with shard 0 forced to stay serving.
 fn load_strategy() -> impl Strategy<Value = Vec<ShardLoad>> {
     proptest::collection::vec(
-        (
-            (0u32..6, 0u32..100_000),
-            0u32..100_000,
-            (0u32..100_000, any::<bool>()),
-        ),
+        ((0u32..6, 0u32..100_000), 0u32..100_000, any::<bool>()),
         1..8,
     )
     .prop_map(|entries| {
@@ -31,13 +27,11 @@ fn load_strategy() -> impl Strategy<Value = Vec<ShardLoad>> {
             .into_iter()
             .enumerate()
             .map(|(shard, entry)| {
-                let ((sessions, session_pixels), remaining_pixels, (queued_pixels, draining)) =
-                    entry;
+                let ((sessions, session_pixels), remaining_pixels, draining) = entry;
                 ShardLoad {
                     shard,
                     sessions: sessions as usize,
                     session_pixels: u64::from(session_pixels),
-                    queued_pixels: u64::from(queued_pixels),
                     remaining_pixels: u64::from(remaining_pixels),
                     draining,
                 }
@@ -94,7 +88,6 @@ proptest! {
         for load in runtime.shard_loads() {
             prop_assert_eq!(load.sessions, 0, "live sessions leaked on shard {}", load.shard);
             prop_assert_eq!(load.session_pixels, 0, "committed pixels leaked on shard {}", load.shard);
-            prop_assert_eq!(load.queued_pixels, 0, "queued pixels leaked on shard {}", load.shard);
             prop_assert_eq!(load.remaining_pixels, 0, "remaining pixels leaked on shard {}", load.shard);
         }
         runtime.shutdown();

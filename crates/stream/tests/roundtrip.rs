@@ -31,7 +31,6 @@ fn build_service(shards: usize) -> StreamService {
     let mut service = StreamService::new(
         ServiceConfig::default()
             .with_shards(shards)
-            .with_queue_depth(2)
             .with_collect_payloads(true)
             .with_collect_wire(true),
     );
@@ -146,7 +145,6 @@ fn wire_streams_survive_sharding_and_placement() {
 fn cancelled_session_ships_a_decodable_partial_stream() {
     let mut runtime = StreamRuntime::start_static(
         ServiceConfig::default()
-            .with_queue_depth(2)
             .with_collect_payloads(true)
             .with_collect_wire(true),
     );

@@ -3,7 +3,7 @@
 //! The paper runs an IRB-approved study on 11 human participants who watch
 //! the six VR scenes with and without the perceptual compression and report
 //! whether they notice artifacts. Human subjects are obviously out of scope
-//! for a code reproduction, so this crate simulates the study (DESIGN.md,
+//! for a code reproduction, so this crate simulates the study (`docs/ARCHITECTURE.md`,
 //! substitution S6):
 //!
 //! * each simulated observer draws a personal *sensitivity scale*: their

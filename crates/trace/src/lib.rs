@@ -5,7 +5,7 @@
 //! the missing substrate:
 //!
 //! - [`Stage`] / [`Marker`]: a closed taxonomy of pipeline stages (render,
-//!   queue wait, adjust, gamma, BD encode, wire emit, link transit, decode)
+//!   adjust, gamma, BD encode, wire emit, link transit, decode)
 //!   and control-plane markers (admit, retire, cancel).
 //! - [`LatencyHistogram`]: a fixed-bucket, log₂-scaled latency histogram
 //!   with lossless merge and p50/p90/p99/max readouts.
@@ -34,7 +34,7 @@
 //! recorder.span(Stage::BdEncode, 0, 7, 0, started);
 //!
 //! let mut report = TraceReport::new(epoch);
-//! report.threads.push(recorder.into_thread(0, Lane::Worker));
+//! report.threads.push(recorder.into_thread(0, Lane::Shard(0)));
 //! assert_eq!(report.stage_histogram(Stage::BdEncode).count(), 1);
 //! ```
 

@@ -35,10 +35,9 @@ impl TraceEpoch {
 /// `tid` lane and its display name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lane {
-    /// A shard's producer thread (renders frames).
-    Producer,
-    /// A shard's worker thread (encodes and emits frames).
-    Worker,
+    /// One of a shard's threads, by index within the shard. Each renders,
+    /// encodes and emits whole frames; the index keeps the two apart.
+    Shard(u8),
     /// The runtime's control plane (admit/retire/cancel markers).
     Control,
     /// A client replaying wire streams (link transit + decode).
@@ -49,8 +48,7 @@ impl Lane {
     /// Stable display name for trace export.
     pub fn name(self) -> &'static str {
         match self {
-            Lane::Producer => "render",
-            Lane::Worker => "encode",
+            Lane::Shard(_) => "shard",
             Lane::Control => "control",
             Lane::Client => "client",
         }
@@ -305,7 +303,7 @@ mod tests {
             recorder.mark(Marker::Admit, 0, 1);
             report
                 .threads
-                .push(recorder.into_thread(shard, Lane::Worker));
+                .push(recorder.into_thread(shard, Lane::Shard(0)));
         }
         let merged = report.stage_histogram(Stage::BdEncode);
         assert_eq!(merged.count(), 4);

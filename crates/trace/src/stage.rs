@@ -1,6 +1,6 @@
 //! The closed taxonomy of pipeline stages and control-plane markers.
 
-/// One stage of the serving pipeline, from the producer's render to the
+/// One stage of the serving pipeline, from a shard thread's render to the
 /// client's decode.
 ///
 /// The set is closed on purpose: every histogram table is a fixed
@@ -8,20 +8,15 @@
 /// stage is a deliberate schema change, not an ad-hoc string key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Producer: rendering one linear frame for a session.
+    /// Shard thread: rendering one linear frame for a session.
     Render,
-    /// Producer: popping (or waiting on) the recycled frame pool.
-    PoolRecycle,
-    /// Time a frame job sat in the bounded queue before the worker
-    /// dequeued it (enqueue → dequeue).
-    QueueWait,
-    /// Worker: eccentricity-based chroma/precision adjustment.
+    /// Shard thread: eccentricity-based chroma/precision adjustment.
     Adjust,
-    /// Worker: linear → sRGB gamma conversion.
+    /// Shard thread: linear → sRGB gamma conversion.
     Gamma,
-    /// Worker: BD entropy encode into the bitstream.
+    /// Shard thread: BD entropy encode into the bitstream.
     BdEncode,
-    /// Worker: framing the payload into digest/payload/wire sinks.
+    /// Shard thread: framing the payload into digest/payload/wire sinks.
     WireEmit,
     /// Client: simulated link occupancy (stream time, not wall time).
     LinkTransit,
@@ -31,13 +26,11 @@ pub enum Stage {
 
 impl Stage {
     /// How many stages exist; the row width of every stage table.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Render,
-        Stage::PoolRecycle,
-        Stage::QueueWait,
         Stage::Adjust,
         Stage::Gamma,
         Stage::BdEncode,
@@ -50,14 +43,12 @@ impl Stage {
     pub fn index(self) -> usize {
         match self {
             Stage::Render => 0,
-            Stage::PoolRecycle => 1,
-            Stage::QueueWait => 2,
-            Stage::Adjust => 3,
-            Stage::Gamma => 4,
-            Stage::BdEncode => 5,
-            Stage::WireEmit => 6,
-            Stage::LinkTransit => 7,
-            Stage::Decode => 8,
+            Stage::Adjust => 1,
+            Stage::Gamma => 2,
+            Stage::BdEncode => 3,
+            Stage::WireEmit => 4,
+            Stage::LinkTransit => 5,
+            Stage::Decode => 6,
         }
     }
 
@@ -65,8 +56,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Render => "render",
-            Stage::PoolRecycle => "pool_recycle",
-            Stage::QueueWait => "queue_wait",
             Stage::Adjust => "adjust",
             Stage::Gamma => "gamma",
             Stage::BdEncode => "bd_encode",
